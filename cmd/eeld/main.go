@@ -68,8 +68,7 @@ func run() error {
 		inflight     = flag.Int("inflight", 8, "requests processed concurrently")
 		queueDepth   = flag.Int("queue", 64, "admitted requests allowed to wait for a slot")
 		tenantQuota  = flag.Int("tenant-quota", 0, "per-tenant concurrent request cap (0 = unlimited)")
-		batchWindow  = flag.Duration("batch-window", 2*time.Millisecond, "cross-request batch gather window")
-		batchMax     = flag.Int("batch-max", 512, "blocks per batch before an early flush")
+		batchMax     = flag.Int("batch-max", 512, "blocks per batch: queued requests beyond it wait for the next one")
 		editorCap    = flag.Int("editors", 32, "analyzed executables kept resident")
 		spillPath    = flag.String("spill", "", "schedule-cache spill file (restore on boot, write on drain)")
 		spillMax     = flag.Int("spill-max", 0, "spill file size bound in bytes (0 = unbounded)")
@@ -103,7 +102,6 @@ func run() error {
 		MaxInflight:    *inflight,
 		QueueDepth:     *queueDepth,
 		TenantQuota:    *tenantQuota,
-		BatchWindow:    *batchWindow,
 		BatchMaxBlocks: *batchMax,
 		Workers:        *workers,
 		EditorCap:      *editorCap,

@@ -3,7 +3,6 @@ package daemon
 import (
 	"context"
 	"strconv"
-	"time"
 
 	"eel/internal/core"
 	"eel/internal/obs"
@@ -12,12 +11,14 @@ import (
 )
 
 // The batcher coalesces blocks from concurrent /v1/schedule requests
-// into single core.ScheduleBlocks calls: one batcher per machine model,
-// flushing when the window elapses after the first arrival or when the
-// batch reaches BatchMaxBlocks. Batching only changes wall clock, never
-// bytes — blocks carry no cross-block scheduler state, so a block's
-// schedule is identical whether it travels alone or in a thousand-block
-// batch (the same property ScheduleBlocks itself relies on).
+// into single core.ScheduleBlocks calls, one batcher per machine model,
+// by group commit: it takes the first queued request plus everything
+// already queued behind it (up to BatchMaxBlocks) and flushes at once,
+// with no timer. A lone request never waits, and batches grow only from
+// requests that queued while the previous batch was scheduling. Batching
+// only changes wall clock, never bytes — blocks carry no cross-block
+// scheduler state, so a block's schedule is identical whether it travels
+// alone or in a thousand-block batch.
 
 type batchKey struct {
 	machine spawn.Machine
@@ -44,7 +45,6 @@ type batcher struct {
 	sched     *core.Scheduler
 	ch        chan batchReq
 	stop      chan struct{}
-	window    time.Duration
 	maxBlocks int
 	reg       *obs.Registry
 	// Batch traces: each flushed batch becomes one kind="batch" trace
@@ -52,6 +52,9 @@ type batcher struct {
 	// member requests' traces. nil flight + traceOn=false = untraced.
 	flight  *obs.Flight
 	traceOn bool
+	// inFlight is a test seam run with each batch's request count just
+	// before it is scheduled; nil in production.
+	inFlight func(requests int)
 }
 
 // batcherFor returns (starting if needed) the batcher for a model.
@@ -68,9 +71,10 @@ func (s *Server) batcherFor(model *spawn.Model) *batcher {
 			Cache:   s.cache,
 			Obs:     s.reg,
 		}),
-		ch:        make(chan batchReq),
+		// Admission caps live requests at MaxInflight, so hand-offs
+		// rarely block and the queue is what the channel holds.
+		ch:        make(chan batchReq, s.cfg.MaxInflight),
 		stop:      make(chan struct{}),
-		window:    s.cfg.BatchWindow,
 		maxBlocks: s.cfg.BatchMaxBlocks,
 		reg:       s.reg,
 		flight:    s.flight,
@@ -88,16 +92,25 @@ func (s *Server) batcherFor(model *spawn.Model) *batcher {
 // scheduleBatched routes one request's blocks through the model's
 // batcher and waits for its slice of the batch result. The returned
 // batch ID identifies the shared batch trace the request rode in (""
-// when tracing is off).
+// when tracing is off). A request whose ctx ends first returns ctx.Err();
+// resp is buffered, so the batcher never blocks on a member that left.
 func (s *Server) scheduleBatched(ctx context.Context, model *spawn.Model, blocks [][]sparc.Inst) ([][]sparc.Inst, string, error) {
 	b := s.batcherFor(model)
 	req := batchReq{blocks: blocks, resp: make(chan batchResp, 1)}
 	if tr := obs.TraceFrom(ctx); tr != nil {
 		req.traceID = tr.ID()
 	}
-	b.ch <- req
-	r := <-req.resp
-	return r.blocks, r.batchID, r.err
+	select {
+	case b.ch <- req:
+	case <-ctx.Done():
+		return nil, "", ctx.Err()
+	}
+	select {
+	case r := <-req.resp:
+		return r.blocks, r.batchID, r.err
+	case <-ctx.Done():
+		return nil, "", ctx.Err()
+	}
 }
 
 // stopBatchers shuts the batch loops down. Callers must guarantee no
@@ -125,35 +138,19 @@ func (b *batcher) loop() {
 			return
 		case first = <-b.ch:
 		}
-		// The batch trace starts at first arrival, so batch.gather
-		// measures the window spent waiting for co-travellers and each
-		// member span's start offset is its arrival time in the batch.
-		var (
-			bt       *obs.Trace
-			arrivals []int64
-		)
+		var bt *obs.Trace
 		if b.traceOn {
 			bt = obs.NewTrace("batch")
-			arrivals = append(arrivals, 0)
 		}
+		// Group commit: take what is already queued, never wait for more.
+		gspan := bt.StartSpan("batch.gather")
 		reqs := []batchReq{first}
 		n := len(first.blocks)
-		gspan := bt.StartSpan("batch.gather")
-		timer := time.NewTimer(b.window)
-	gather:
-		for n < b.maxBlocks {
-			select {
-			case r := <-b.ch:
-				reqs = append(reqs, r)
-				n += len(r.blocks)
-				if bt != nil {
-					arrivals = append(arrivals, bt.SinceStart())
-				}
-			case <-timer.C:
-				break gather
-			}
+		for n < b.maxBlocks && len(b.ch) > 0 {
+			r := <-b.ch
+			reqs = append(reqs, r)
+			n += len(r.blocks)
 		}
-		timer.Stop()
 		gspan.End()
 
 		aspan := bt.StartSpan("batch.assemble")
@@ -167,47 +164,49 @@ func (b *batcher) loop() {
 		if bt != nil {
 			ctx = obs.WithTraceParent(ctx, bt, sspan.Idx())
 		}
+		if b.inFlight != nil {
+			b.inFlight(len(reqs))
+		}
 		out, err := b.sched.ScheduleBlocksCtx(ctx, flat)
 		sspan.End()
 
+		// Telemetry first, so a member holding its reply sees its batch.
 		var batchID string
 		if bt != nil {
 			batchID = bt.ID()
 		}
-		if err != nil {
-			for _, r := range reqs {
-				r.resp <- batchResp{batchID: batchID, err: err}
-			}
-			b.finishTrace(bt, reqs, arrivals, n, err)
-			continue
+		b.finishTrace(bt, reqs, n, err)
+		if err == nil {
+			b.reg.Counter("eeld.batches_total").Inc()
+			b.reg.Histogram("eeld.batch.requests", obs.ExpBuckets(1, 10)).Observe(int64(len(reqs)))
+			b.reg.Histogram("eeld.batch.blocks", obs.ExpBuckets(1, 14)).Observe(int64(n))
 		}
 		off := 0
 		for _, r := range reqs {
-			r.resp <- batchResp{blocks: out[off : off+len(r.blocks)], batchID: batchID}
+			resp := batchResp{batchID: batchID, err: err}
+			if err == nil {
+				resp.blocks = out[off : off+len(r.blocks)]
+			}
 			off += len(r.blocks)
+			r.resp <- resp
 		}
-		b.finishTrace(bt, reqs, arrivals, n, nil)
-		b.reg.Counter("eeld.batches_total").Inc()
-		b.reg.Histogram("eeld.batch.requests", obs.ExpBuckets(1, 10)).Observe(int64(len(reqs)))
-		b.reg.Histogram("eeld.batch.blocks", obs.ExpBuckets(1, 14)).Observe(int64(n))
 	}
 }
 
 // finishTrace closes the batch trace: one top-level "member" span per
-// coalesced request, spanning its arrival offset to the batch's end and
-// linking back to the member's request trace, then records the trace in
-// the flight recorder.
-func (b *batcher) finishTrace(bt *obs.Trace, reqs []batchReq, arrivals []int64, blocks int, err error) {
+// coalesced request, spanning the whole batch and linking back to the
+// member's request trace, then records the trace in the flight recorder.
+func (b *batcher) finishTrace(bt *obs.Trace, reqs []batchReq, blocks int, err error) {
 	if bt == nil {
 		return
 	}
 	end := bt.SinceStart()
-	for i, r := range reqs {
+	for _, r := range reqs {
 		notes := []string{"blocks=" + strconv.Itoa(len(r.blocks))}
 		if r.traceID != "" {
 			notes = append(notes, "trace="+r.traceID)
 		}
-		bt.AddSpan("member", -1, arrivals[i], end-arrivals[i], notes...)
+		bt.AddSpan("member", -1, 0, end, notes...)
 	}
 	bt.Annotate("requests", strconv.Itoa(len(reqs)))
 	bt.Annotate("blocks", strconv.Itoa(blocks))

@@ -50,11 +50,8 @@ type Config struct {
 	// TenantQuota caps one tenant's concurrently admitted requests
 	// (X-Eeld-Tenant header; "anon" when absent). 0 disables quotas.
 	TenantQuota int
-	// BatchWindow is how long the cross-request batcher waits for more
-	// blocks after the first arrival before flushing. Default 2ms.
-	BatchWindow time.Duration
-	// BatchMaxBlocks flushes a batch early once it holds this many
-	// blocks. Default 512.
+	// BatchMaxBlocks caps how many queued blocks one batch takes; a batch
+	// otherwise flushes as soon as it is formed (batch.go). Default 512.
 	BatchMaxBlocks int
 	// Workers is the scheduling worker-pool size per batch/edit
 	// (core.Options.Workers; output is worker-count independent).
@@ -92,9 +89,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
 	}
 	if c.BatchMaxBlocks <= 0 {
 		c.BatchMaxBlocks = 512

@@ -96,7 +96,7 @@ func postSchedule(t *testing.T, ts *httptest.Server, tenant string, req schedule
 // TestScheduleMatchesDirect: the service's batched path returns byte-for-
 // byte what a direct core.Scheduler run produces for the same blocks.
 func TestScheduleMatchesDirect(t *testing.T) {
-	_, ts := testServer(t, Config{BatchWindow: time.Millisecond})
+	_, ts := testServer(t, Config{})
 	words := blockWords(t, 11, 40)
 
 	resp, body := postSchedule(t, ts, "", scheduleRequest{Machine: "ultrasparc", Blocks: words})
@@ -140,10 +140,13 @@ func TestScheduleMatchesDirect(t *testing.T) {
 
 // TestScheduleConcurrentBatching hammers the batcher from many tenants
 // at once; every response must match the single-request answer, and the
-// batcher should have coalesced at least one multi-request batch.
+// batcher must have coalesced at least one multi-request batch. The
+// callers are released only once all of them are in a batch or queued
+// behind the held one, so the coalescing is deterministic.
 func TestScheduleConcurrentBatching(t *testing.T) {
 	reg := obs.NewRegistry()
-	_, ts := testServer(t, Config{Registry: reg, BatchWindow: 5 * time.Millisecond, MaxInflight: 16})
+	s, ts := testServer(t, Config{Registry: reg, MaxInflight: 16})
+	g := gateBatches(t, s)
 	words := blockWords(t, 13, 6)
 
 	want, _ := func() (*scheduleResponse, error) {
@@ -155,6 +158,8 @@ func TestScheduleConcurrentBatching(t *testing.T) {
 		return &r, json.Unmarshal(body, &r)
 	}()
 
+	g.nextBatch(t) // the seed request
+	g.hold()
 	const callers = 12
 	var wg sync.WaitGroup
 	errs := make(chan error, callers)
@@ -177,6 +182,9 @@ func TestScheduleConcurrentBatching(t *testing.T) {
 			}
 		}(c)
 	}
+	lead := g.nextBatch(t)
+	g.waitQueued(t, callers-lead)
+	g.release()
 	wg.Wait()
 	close(errs)
 	for err := range errs {
@@ -184,6 +192,9 @@ func TestScheduleConcurrentBatching(t *testing.T) {
 	}
 	if reg.Counter("eeld.batches_total").Value() == 0 {
 		t.Fatal("no batches recorded")
+	}
+	if h := batchRequests(reg); h.Sum() <= h.Count() {
+		t.Fatalf("no multi-request batch: %d requests in %d batches", h.Sum(), h.Count())
 	}
 }
 
@@ -466,7 +477,7 @@ func TestSpillWarmRestart(t *testing.T) {
 	spill := filepath.Join(t.TempDir(), "eeld.spill")
 	words := blockWords(t, 29, 50)
 
-	cfg := Config{SpillPath: spill, Fingerprint: "test-rev", BatchWindow: time.Millisecond}
+	cfg := Config{SpillPath: spill, Fingerprint: "test-rev"}
 	cfg.Registry = obs.NewRegistry()
 	s1 := New(cfg)
 	ts1 := httptest.NewServer(s1)

@@ -96,8 +96,7 @@ func noteValue(sp obs.TraceSpan, key string) string {
 // member request, and the request's batch.queue span names the batch.
 func TestRequestTraceAttribution(t *testing.T) {
 	cfg := Config{
-		Flight:      obs.NewFlight(64),
-		BatchWindow: time.Millisecond,
+		Flight: obs.NewFlight(64),
 	}
 	_, ts := testServer(t, cfg)
 
@@ -261,7 +260,6 @@ func TestAnomalyClassification(t *testing.T) {
 		Flight:         flight,
 		SlowRequest:    50 * time.Millisecond,
 		AllowTestDelay: true,
-		BatchWindow:    time.Millisecond,
 	})
 	words := blockWords(t, 37, 2)
 
@@ -309,7 +307,6 @@ func TestDrainUnderLoad(t *testing.T) {
 		Flight:         flight,
 		AccessLog:      access,
 		AllowTestDelay: true,
-		BatchWindow:    time.Millisecond,
 		MaxInflight:    8,
 	}
 	s := New(cfg)
