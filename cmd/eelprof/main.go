@@ -24,13 +24,15 @@
 // invocation, the hottest basic blocks.
 //
 // -metrics writes the run's telemetry registry (stall attribution by
-// hazard, phase spans, cache statistics) as JSON, or Prometheus text when
-// the path ends in .prom. -trace writes one JSON line per scheduled
-// block into <dir>/sched.jsonl for cmd/schedtrace. -pprof serves
-// net/http/pprof on the given address for the life of the process.
+// hazard, cache statistics, and the edit's phase trace as the edit_trace
+// extra) as JSON, or Prometheus text when the path ends in .prom. -trace
+// writes one JSON line per scheduled block into <dir>/sched.jsonl for
+// cmd/schedtrace. -pprof serves net/http/pprof on the given address for
+// the life of the process.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"net/http"
@@ -154,25 +156,33 @@ func run() error {
 		return err
 	}
 
-	var prof *qpt.SlowProfiler
-	result := x
-	switch {
-	case *reschedule:
-		result, err = ed.Reschedule(model, core.Options{
-			Workers: *workers, Oracle: oracle, Engine: engine, Obs: reg, Trace: trace})
-	default:
+	var (
+		prof *qpt.SlowProfiler
+		tool eel.Instrumenter
+		opts eel.Options
+	)
+	if !*reschedule {
 		prof = &qpt.SlowProfiler{}
-		opts := eel.Options{}
-		if !*noSchedule {
-			opts.Machine = model
-			opts.Schedule = true
-			opts.Sched.Workers = *workers
-			opts.Sched.Oracle = oracle
-			opts.Sched.Engine = engine
-			opts.Sched.Obs = reg
-			opts.Sched.Trace = trace
-		}
-		result, err = ed.Edit(prof, opts)
+		tool = prof
+	}
+	if *reschedule || !*noSchedule {
+		opts = eel.Options{Machine: model, Schedule: true, Sched: core.Options{
+			Workers: *workers, Oracle: oracle, Engine: engine, Obs: reg, Trace: trace}}
+	}
+	// With -metrics the edit runs under a trace, so its eel.* phases and
+	// the scheduler's sched.* phases under eel.schedule land in the
+	// export as the edit_trace extra: the same span model eeld's request
+	// traces use.
+	ctx := context.Background()
+	var tr *obs.Trace
+	if *metricsOut != "" {
+		tr = obs.NewTrace("edit")
+		ctx = obs.WithTrace(ctx, tr)
+	}
+	result, err := ed.EditCtx(ctx, tool, opts)
+	if tr != nil {
+		tr.Finish()
+		reg.PutExtra("edit_trace", tr.Export())
 	}
 	if err != nil {
 		// A failed edit still leaves observable state behind: the blocks

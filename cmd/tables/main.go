@@ -14,9 +14,9 @@
 // as JSON instead of the paper's format.
 //
 // -metrics writes the run's telemetry (per-hazard stall attribution,
-// per-row wall time with a slowest_rows top-5, simulator totals, phase
-// spans, a run manifest) as JSON, or Prometheus text when the path ends
-// in .prom; telemetry never changes a table. -trace writes per-block
+// per-row wall time with a slowest_rows top-5, simulator totals, row
+// and simulator-run spans, a run manifest) as JSON, or Prometheus text
+// when the path ends in .prom; telemetry never changes a table. -trace writes per-block
 // scheduling decision traces into a directory for cmd/schedtrace, and
 // -pprof serves net/http/pprof for the life of the run.
 package main
@@ -111,13 +111,10 @@ func run() error {
 			Seed:               *seed,
 			Benchmarks:         subset,
 			ValidateCounts:     *validate,
-			Workers:            *workers,
-			Oracle:             oracle,
-			Engine:             engine,
 			TableWorkers:       *tworkers,
 			Obs:                reg,
 		}
-		cfg.Sched.Trace = trace
+		cfg.Sched = core.Options{Workers: *workers, Oracle: oracle, Engine: engine, Trace: trace}
 		return cfg
 	}
 	configs := map[int]bench.TableConfig{

@@ -36,7 +36,9 @@ type TableConfig struct {
 	// DynamicInsts approximately sizes each benchmark's run.
 	DynamicInsts uint64
 	Seed         int64
-	// Sched tunes the scheduler (ablations); zero value is the paper's.
+	// Sched tunes the scheduler (ablations, worker count, oracle,
+	// engine); zero value is the paper's. Sched.Workers and Sched.Oracle
+	// never change a table, only editing wall-clock time.
 	Sched core.Options
 	// DisablePlacementOpt instruments every block (ablation).
 	DisablePlacementOpt bool
@@ -45,21 +47,10 @@ type TableConfig struct {
 	ValidateCounts bool
 	// Benchmarks restricts the run to the named subset (nil = all 18).
 	Benchmarks []string
-	// Workers bounds the scheduling worker pool (see core.Options.Workers;
-	// 0 = GOMAXPROCS). Scheduling output is byte-identical for any value,
-	// so tables never depend on it — only wall-clock time does.
-	Workers int
-	// Oracle selects the stall oracle (see core.Options.Oracle). Like
-	// Workers it never changes a table, only editing wall-clock time: the
-	// fast and reference oracles schedule identically.
-	Oracle core.Oracle
-	// Engine selects the scheduling engine (see core.Options.Engine).
-	// Also wall-clock-only: both engines schedule identically.
-	Engine core.Engine
 	// TableWorkers bounds the benchmark-row worker pool in RunTable
-	// (0 = GOMAXPROCS). Like Workers it never changes a table — rows are
-	// independent experiments and land in suite order regardless — so it
-	// is excluded from the archived JSON.
+	// (0 = GOMAXPROCS). Like Sched.Workers it never changes a table —
+	// rows are independent experiments and land in suite order
+	// regardless — so it is excluded from the archived JSON.
 	TableWorkers int `json:"-"`
 	// Obs, when non-nil, collects the run's telemetry: scheduler stall
 	// attribution (propagated into Sched.Obs), simulator run totals,
@@ -75,15 +66,6 @@ func (c TableConfig) withDefaults() TableConfig {
 	}
 	if c.DynamicInsts == 0 {
 		c.DynamicInsts = 600_000
-	}
-	if c.Workers != 0 && c.Sched.Workers == 0 {
-		c.Sched.Workers = c.Workers
-	}
-	if c.Oracle != core.OracleFast && c.Sched.Oracle == core.OracleFast {
-		c.Sched.Oracle = c.Oracle
-	}
-	if c.Engine != core.EngineFast && c.Sched.Engine == core.EngineFast {
-		c.Sched.Engine = c.Engine
 	}
 	if c.Obs != nil && c.Sched.Obs == nil {
 		c.Sched.Obs = c.Obs

@@ -118,10 +118,11 @@ func TestScheduleBlocksSequentialFallback(t *testing.T) {
 }
 
 func TestScheduleBlocksFactoryOracle(t *testing.T) {
-	// NewWithFactory with the standard oracle must match New exactly.
+	// The reference oracle and engine fanned out over workers must match
+	// the default path exactly.
 	model := spawn.MustLoad(spawn.HyperSPARC)
 	blocks := randomBlocks(rand.New(rand.NewSource(9)), 60)
-	s := NewWithFactory(func() Pipeline { return pipe.NewState(model) }, model, Options{Workers: 4})
+	s := New(model, Options{Workers: 4, Oracle: OracleReference, Engine: EngineReference})
 	got, err := s.ScheduleBlocks(blocks)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +132,7 @@ func TestScheduleBlocksFactoryOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("factory-oracle schedule differs from default scheduler")
+		t.Fatal("reference oracle+engine over 4 workers differs from default scheduler")
 	}
 }
 

@@ -141,8 +141,8 @@ type Options struct {
 	// EngineOptimal additionally runs a branch-and-bound exact search
 	// after the greedy pass and may emit a provably cheaper order. The
 	// fast engine's soundness rests on oracle monotonicity, so schedulers
-	// driven by custom oracles (NewWith, NewWithFactory) always run the
-	// reference engine regardless of this option.
+	// driven by a custom oracle (NewWith) always run the reference engine
+	// regardless of this option.
 	Engine Engine
 	// OptimalBudget bounds the exact search (EngineOptimal) in
 	// branch-and-bound nodes — speculative issues — per block. 0 selects
@@ -164,9 +164,8 @@ type Options struct {
 	// Cache, when non-nil, memoizes per-block scheduling results keyed
 	// by (machine model, options, instruction-sequence hash) so repeated
 	// editing of hot blocks skips rescheduling. Only schedulers built
-	// with New consult it: a custom stall oracle (NewWith,
-	// NewWithFactory) is not part of the key, so its results must not be
-	// shared through a cache.
+	// with New consult it: a custom stall oracle (NewWith) is not part of
+	// the key, so its results must not be shared through a cache.
 	Cache *Cache
 	// Obs, when non-nil, receives scheduler telemetry: per-hazard stall
 	// attribution of every emitted schedule, cycles-hidden deltas, block
@@ -209,7 +208,7 @@ type Pipeline interface {
 // concurrent use; ScheduleBlocks fans blocks out over a worker pool in
 // which every worker draws a private stall oracle from a sync.Pool, and
 // is safe to call from multiple goroutines when the scheduler was built
-// with New or NewWithFactory.
+// with New.
 type Scheduler struct {
 	model   *spawn.Model
 	seq     *worker         // sequential-path oracle + scratch
@@ -339,25 +338,12 @@ func (s *Scheduler) Close() {
 
 // NewWith returns a scheduler driven by a custom stall oracle (e.g. a
 // hardware model with grouping rules the SADL description omits). The
-// oracle cannot be replicated, so ScheduleBlocks degrades to the
-// sequential path; use NewWithFactory to keep the parallel path. Custom
-// oracles are not known to be monotone, so these schedulers run the
-// reference engine.
+// oracle cannot be replicated, so ScheduleBlocks runs the sequential
+// path. Custom oracles are not known to be monotone, so these schedulers
+// run the reference engine.
 func NewWith(p Pipeline, model *spawn.Model, opts Options) *Scheduler {
 	return &Scheduler{model: model, seq: &worker{p: p}, opts: opts,
 		tel: newTelemetry(opts.Obs, model)}
-}
-
-// NewWithFactory returns a scheduler whose stall oracles come from
-// factory, one per worker goroutine, so ScheduleBlocks can run blocks
-// concurrently against custom pipelines (e.g. sim.HWPipeline). Like
-// NewWith, it runs the reference engine.
-func NewWithFactory(factory func() Pipeline, model *spawn.Model, opts Options) *Scheduler {
-	s := &Scheduler{model: model, seq: &worker{p: factory()}, factory: factory, opts: opts}
-	s.pool.New = func() any { return &worker{p: factory()} }
-	s.tel = newTelemetry(opts.Obs, model)
-	s.initExec()
-	return s
 }
 
 // Model returns the scheduler's machine model.

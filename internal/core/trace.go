@@ -85,7 +85,7 @@ func (s *Scheduler) engineName() string {
 }
 
 // oracleName labels the oracle for traces: the configured one on
-// schedulers built with New, "custom" for NewWith/NewWithFactory.
+// schedulers built with New, "custom" for NewWith.
 func (s *Scheduler) oracleName() string {
 	if s.fastOK {
 		return s.opts.Oracle.String()

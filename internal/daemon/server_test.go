@@ -262,6 +262,44 @@ func TestEditMatchesLibrary(t *testing.T) {
 	}
 }
 
+// TestEditRegistryBounded: the editor records its phases on the request
+// trace only, so /v1/edit traffic must not grow the process registry's
+// span log. A daemon that keeps a record per edit grows /metrics without
+// bound.
+func TestEditRegistryBounded(t *testing.T) {
+	reg := obs.NewRegistry()
+	_, ts := testServer(t, Config{Registry: reg})
+	image := editImage(t)
+	edits := func(n int) int {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			resp, err := ts.Client().Post(ts.URL+"/v1/edit?op=instrument&machine=ultrasparc",
+				"application/octet-stream", bytes.NewReader(image))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			buf.ReadFrom(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != 200 {
+				t.Fatalf("edit: %d %s", resp.StatusCode, buf.Bytes())
+			}
+		}
+		spans := reg.Spans()
+		for _, sp := range spans {
+			if strings.HasPrefix(sp.Name, "eel.") {
+				t.Fatalf("registry holds editor span %q", sp.Name)
+			}
+		}
+		return len(spans)
+	}
+	after2 := edits(2)
+	after10 := edits(8)
+	if after10 != after2 {
+		t.Fatalf("registry spans grew with edits: %d after 2, %d after 10", after2, after10)
+	}
+}
+
 // TestErrorShapes drives every structured-error path and checks status,
 // JSON envelope, and the per-code request counters.
 func TestErrorShapes(t *testing.T) {

@@ -19,7 +19,6 @@ import (
 	"eel/internal/core"
 	"eel/internal/exe"
 	"eel/internal/obs"
-	"eel/internal/pipe"
 	"eel/internal/sparc"
 	"eel/internal/spawn"
 )
@@ -117,28 +116,13 @@ type Instrumenter interface {
 	Instrument(b *cfg.Block) []sparc.Inst
 }
 
-// BlockScheduler reorders one basic block; core.Scheduler implements it.
-// The workload generator plugs in a stronger best-of-N scheduler here to
-// play the role of the vendor compiler.
-type BlockScheduler interface {
-	ScheduleBlock(block []sparc.Inst) ([]sparc.Inst, error)
-}
-
-// BlocksScheduler is a BlockScheduler that can schedule a whole batch of
-// blocks at once (possibly concurrently, as core.Scheduler does). Edit
-// prefers this path: blocks carry no cross-block scheduler state, so
-// batching changes nothing about the output bytes, only the wall clock.
-type BlocksScheduler interface {
-	BlockScheduler
-	ScheduleBlocks(blocks [][]sparc.Inst) ([][]sparc.Inst, error)
-}
-
-// BlocksCtxScheduler is a BlocksScheduler that also accepts a context
-// carrying a request trace (core.Scheduler implements it). EditCtx
-// prefers this path so the scheduler's per-phase spans land under the
-// edit's eel.schedule span.
-type BlocksCtxScheduler interface {
-	BlocksScheduler
+// Scheduler reorders every block of an edit; core.Scheduler implements
+// it. blocks arrive in block order and the result must match them one
+// for one. The workload generator plugs in a stronger best-of-N scheduler
+// here to play the role of the vendor compiler. ctx may carry a request
+// trace (obs.WithTraceParent) under which a scheduler records its own
+// phase spans.
+type Scheduler interface {
 	ScheduleBlocksCtx(ctx context.Context, blocks [][]sparc.Inst) ([][]sparc.Inst, error)
 }
 
@@ -151,13 +135,10 @@ type Options struct {
 	Schedule bool
 	// Sched passes through scheduler options (aliasing rules, ablations).
 	Sched core.Options
-	// SchedPipeline overrides the stall oracle driving the scheduler
-	// (default: the machine's SADL pipeline model). The workload
-	// generator passes a hardware model here to emulate vendor-compiler
-	// scheduling.
-	SchedPipeline core.Pipeline
-	// Scheduler overrides the scheduler entirely.
-	Scheduler BlockScheduler
+	// Scheduler, when non-nil, replaces the editor's memoized
+	// core.Scheduler (built from Machine and Sched) when Schedule is set.
+	// Sched is then ignored.
+	Scheduler Scheduler
 }
 
 // Edit produces a new executable: instrumentation from tool (which may be
@@ -195,18 +176,10 @@ func (ed *Editor) EditCtx(ctx context.Context, tool Instrumenter, opts Options) 
 		}
 	}
 
-	var sched BlockScheduler
+	var sched Scheduler
 	if opts.Schedule {
-		switch {
-		case opts.Scheduler != nil:
-			sched = opts.Scheduler
-		case opts.SchedPipeline != nil:
-			if f := pipelineFactory(opts.SchedPipeline); f != nil {
-				sched = core.NewWithFactory(f, opts.Machine, opts.Sched)
-			} else {
-				sched = core.NewWith(opts.SchedPipeline, opts.Machine, opts.Sched)
-			}
-		default:
+		sched = opts.Scheduler
+		if sched == nil {
 			sc := opts.Sched
 			if sc.Cache == nil {
 				sc.Cache = ed.cache
@@ -215,17 +188,13 @@ func (ed *Editor) EditCtx(ctx context.Context, tool Instrumenter, opts Options) 
 		}
 	}
 
-	// Phase spans land in the scheduler's registry when one is attached,
-	// so -metrics exports show where an edit's wall and CPU time went;
-	// the same phases land on the request trace when ctx carries one.
-	reg := opts.Sched.Obs
+	// Phases are recorded on the request trace when ctx carries one;
+	// with no trace every span call is a nil no-op.
 	tr, parent := obs.TraceParentFrom(ctx)
 
 	// Pass 1a: rebuild each block's instruction sequence (instrumentation
-	// prepended), then schedule the whole batch — concurrently when the
-	// scheduler supports it.
-	span := reg.StartSpan("eel.instrument")
-	tspan := tr.StartChild("eel.instrument", parent)
+	// prepended), then schedule the whole batch.
+	span := tr.StartChild("eel.instrument", parent)
 	blocks := make([][]sparc.Inst, len(ed.graph.Blocks))
 	for i, b := range ed.graph.Blocks {
 		block := append([]sparc.Inst(nil), b.Insts...)
@@ -237,38 +206,17 @@ func (ed *Editor) EditCtx(ctx context.Context, tool Instrumenter, opts Options) 
 		blocks[i] = block
 	}
 	span.End()
-	tspan.End()
-	span = reg.StartSpan("eel.schedule")
-	tspan = tr.StartChild("eel.schedule", parent)
-	switch s := sched.(type) {
-	case nil:
-	case BlocksCtxScheduler:
-		scheduled, err := s.ScheduleBlocksCtx(obs.WithTraceParent(ctx, tr, tspan.Idx()), blocks)
-		if err != nil {
-			return nil, fmt.Errorf("eel: scheduling: %w", err)
-		}
-		blocks = scheduled
-	case BlocksScheduler:
-		scheduled, err := s.ScheduleBlocks(blocks)
-		if err != nil {
-			return nil, fmt.Errorf("eel: scheduling: %w", err)
-		}
-		blocks = scheduled
-	default:
-		for i, block := range blocks {
-			scheduled, err := s.ScheduleBlock(block)
-			if err != nil {
-				return nil, fmt.Errorf("eel: scheduling block %d: %w", ed.graph.Blocks[i].Index, err)
-			}
-			blocks[i] = scheduled
-		}
+	span = tr.StartChild("eel.schedule", parent)
+	var err error
+	if sched != nil {
+		blocks, err = sched.ScheduleBlocksCtx(obs.WithTraceParent(ctx, tr, span.Idx()), blocks)
 	}
 	span.End()
-	tspan.End()
-	span = reg.StartSpan("eel.layout")
-	tspan = tr.StartChild("eel.layout", parent)
+	if err != nil {
+		return nil, fmt.Errorf("eel: scheduling: %w", err)
+	}
+	span = tr.StartChild("eel.layout", parent)
 	defer span.End()
-	defer tspan.End()
 
 	if _, err := ed.assemble(out, blocks, nil); err != nil {
 		return nil, err
@@ -441,22 +389,4 @@ func (ed *Editor) Close() {
 // reordered by the paper's scheduler (the Table 2 baseline).
 func (ed *Editor) Reschedule(machine *spawn.Model, sched core.Options) (*exe.Exe, error) {
 	return ed.Edit(nil, Options{Machine: machine, Schedule: true, Sched: sched})
-}
-
-// pipelineFactory derives a per-worker oracle factory from a caller-
-// supplied stall oracle, so SchedPipeline users still get the parallel
-// scheduling path. Oracles that can replicate themselves (sim.HWPipeline
-// via Fork) and the standard pipe oracles (compiled FastState, reference
-// State) are recognized; anything else returns nil and schedules
-// sequentially on the single instance.
-func pipelineFactory(p core.Pipeline) func() core.Pipeline {
-	switch v := p.(type) {
-	case interface{ Fork() core.Pipeline }:
-		return func() core.Pipeline { return v.Fork() }
-	case *pipe.FastState:
-		return func() core.Pipeline { return pipe.NewFastState(v.Model()) }
-	case *pipe.State:
-		return func() core.Pipeline { return pipe.NewState(v.Model()) }
-	}
-	return nil
 }

@@ -1,12 +1,17 @@
 package eel_test
 
 import (
+	"context"
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"eel/internal/cfg"
 	"eel/internal/eel"
 	"eel/internal/exe"
+	"eel/internal/obs"
 	"eel/internal/qpt"
 	"eel/internal/sim"
 	"eel/internal/sparc"
@@ -203,4 +208,41 @@ loop:
 		t.Errorf("paper aliasing rule slower than conservative: %d vs %d",
 			relaxed, conservative)
 	}
+}
+
+// failingScheduler takes a moment and then fails every batch.
+type failingScheduler struct{}
+
+func (failingScheduler) ScheduleBlocksCtx(ctx context.Context, blocks [][]sparc.Inst) ([][]sparc.Inst, error) {
+	time.Sleep(time.Millisecond)
+	return nil, errors.New("injected scheduling failure")
+}
+
+// TestFailedScheduleEndsSpan: a scheduling error still closes the
+// trace's eel.schedule span, so the error trace a flight recorder keeps
+// shows where the time went.
+func TestFailedScheduleEndsSpan(t *testing.T) {
+	ed, err := eel.Open(buildExe(t, loopProgram))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTrace("request")
+	_, err = ed.EditCtx(obs.WithTrace(context.Background(), tr), nil, eel.Options{
+		Machine:   spawn.MustLoad(spawn.UltraSPARC),
+		Schedule:  true,
+		Scheduler: failingScheduler{},
+	})
+	if err == nil || !strings.Contains(err.Error(), "injected scheduling failure") {
+		t.Fatalf("EditCtx error = %v, want the scheduler's", err)
+	}
+	tr.Finish()
+	for _, sp := range tr.Export().Spans {
+		if sp.Name == "eel.schedule" {
+			if sp.DurNs <= 0 {
+				t.Fatalf("eel.schedule left open: dur_ns=%d", sp.DurNs)
+			}
+			return
+		}
+	}
+	t.Fatal("trace has no eel.schedule span")
 }

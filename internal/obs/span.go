@@ -1,17 +1,13 @@
 package obs
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // SpanRecord is one completed phase span: a named stretch of work with
-// wall-clock and process-CPU time. Depth records lexical nesting (a span
-// started while its parent was open), so exporters can render a phase
-// tree without the registry tracking goroutine identity.
+// wall-clock and process-CPU time. Registry spans are flat run-level
+// phases (bench rows, simulator runs); nested per-request phases live on
+// an obs.Trace, which carries real parent links.
 type SpanRecord struct {
 	Name    string `json:"name"`
-	Depth   int    `json:"depth"`
 	StartNs int64  `json:"start_ns"` // offset from the registry's first span
 	WallNs  int64  `json:"wall_ns"`
 	CPUNs   int64  `json:"cpu_ns"` // process CPU time consumed during the span
@@ -22,18 +18,11 @@ type SpanRecord struct {
 type Span struct {
 	r     *Registry
 	name  string
-	depth int
 	start time.Time
 	cpu   int64
 }
 
-// openSpans counts spans started and not yet ended, for nesting depth.
-// Concurrent spans share the counter, so depth is approximate under
-// parallel phases — good enough for the tree rendering it feeds.
-var openSpans atomic.Int64
-
-// StartSpan opens a phase span. Spans nest: a span started while another
-// is open records a larger depth. On a nil registry the returned span is
+// StartSpan opens a phase span. On a nil registry the returned span is
 // nil and End is free.
 func (r *Registry) StartSpan(name string) *Span {
 	if r == nil {
@@ -42,7 +31,6 @@ func (r *Registry) StartSpan(name string) *Span {
 	return &Span{
 		r:     r,
 		name:  name,
-		depth: int(openSpans.Add(1)) - 1,
 		start: time.Now(),
 		cpu:   processCPUNs(),
 	}
@@ -53,7 +41,6 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	openSpans.Add(-1)
 	wall := time.Since(s.start)
 	cpu := processCPUNs() - s.cpu
 	r := s.r
@@ -63,7 +50,6 @@ func (s *Span) End() {
 	}
 	r.spans = append(r.spans, SpanRecord{
 		Name:    s.name,
-		Depth:   s.depth,
 		StartNs: s.start.Sub(r.spanEpoch).Nanoseconds(),
 		WallNs:  wall.Nanoseconds(),
 		CPUNs:   cpu,

@@ -300,10 +300,8 @@ func (h *HW) commitAt(flags core.InstFlags, cg *spawn.CompiledGroup, t int64, wr
 
 // HWPipeline adapts HW to the scheduler's Pipeline interface, so the
 // workload generator can pre-schedule code the way the vendors' compilers
-// did: against the real machine's grouping rules.
-//
-// An HWPipeline is not safe for concurrent use; Fork hands each worker
-// goroutine of a parallel scheduler an independent copy.
+// did: against the real machine's grouping rules. An HWPipeline is not
+// safe for concurrent use.
 type HWPipeline struct {
 	hw *HW
 }
@@ -311,13 +309,6 @@ type HWPipeline struct {
 // NewHWPipeline returns a schedulable view of the hardware model.
 func NewHWPipeline(model *spawn.Model, rules Rules) *HWPipeline {
 	return &HWPipeline{hw: NewHW(model, rules)}
-}
-
-// Fork returns a fresh, independent pipeline with the same model and
-// rules. It lets eel and core replicate a hardware stall oracle per
-// worker goroutine (core.NewWithFactory) instead of serializing on one.
-func (p *HWPipeline) Fork() core.Pipeline {
-	return NewHWPipeline(p.hw.model, p.hw.rules)
 }
 
 // Reset clears the pipeline state.

@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"context"
+	"fmt"
+
 	"eel/internal/core"
 	"eel/internal/sim"
 	"eel/internal/sparc"
@@ -35,9 +38,24 @@ func newCompilerScheduler(model *spawn.Model, rules sim.Rules) *compilerSchedule
 	}
 }
 
-// ScheduleBlock returns the best candidate schedule by measured cycles on
+// ScheduleBlocksCtx schedules every block in order (eel.Scheduler). Each
+// candidate drives a single hardware oracle, so blocks run one after
+// another; ctx is unused.
+func (c *compilerScheduler) ScheduleBlocksCtx(_ context.Context, blocks [][]sparc.Inst) ([][]sparc.Inst, error) {
+	out := make([][]sparc.Inst, len(blocks))
+	for i, block := range blocks {
+		scheduled, err := c.scheduleBlock(block)
+		if err != nil {
+			return nil, fmt.Errorf("block %d: %w", i, err)
+		}
+		out[i] = scheduled
+	}
+	return out, nil
+}
+
+// scheduleBlock returns the best candidate schedule by measured cycles on
 // the hardware model; the original order competes too.
-func (c *compilerScheduler) ScheduleBlock(block []sparc.Inst) ([]sparc.Inst, error) {
+func (c *compilerScheduler) scheduleBlock(block []sparc.Inst) ([]sparc.Inst, error) {
 	best := block
 	bestCost, err := c.cost(block)
 	if err != nil {
