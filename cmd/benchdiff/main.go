@@ -16,10 +16,11 @@
 //	    exit nonzero if any benchmark regressed more than 30%
 //
 // -update stamps a run manifest (Go version, platform, git revision,
-// GOMAXPROCS and core count, any `# manifest: k=v` lines in the bench
-// input, plus any -manifest k=v pairs) alongside the recorded series;
-// manifests of other series in the baseline file are carried forward
-// untouched, so the committed file says where every number came from.
+// GOMAXPROCS and core count, the input's `cpu:` line, any
+// `# manifest: k=v` lines in the bench input, plus any -manifest k=v
+// pairs such as note=...) alongside the recorded series; manifests of
+// other series in the baseline file are carried forward untouched, so
+// the committed file says where every number came from.
 //
 // Comparison is advisory by default (always exit 0): shared CI runners
 // are noisy enough that a hard gate on ns/op would flake. -fail-over
@@ -69,7 +70,6 @@ func run() error {
 		baseline = flag.String("baseline", "BENCH_sched.json", "committed baseline file")
 		series   = flag.String("series", "current", "series name to compare against or record")
 		update   = flag.Bool("update", false, "record the input as the named series instead of comparing")
-		note     = flag.String("note", "", "with -update: replace the baseline's note")
 		failOver = flag.Float64("fail-over", 0, "exit nonzero if any benchmark regresses more than this percent (0 = advisory)")
 	)
 	manifest := make(manifestFlag)
@@ -96,7 +96,7 @@ func run() error {
 		return fmt.Errorf("no benchmark lines in input")
 	}
 	results = bench.MedianByName(results)
-	runManifest := seriesManifest(inManifest, manifest)
+	runManifest := seriesManifest(cpu, inManifest, manifest)
 
 	if *update {
 		pf, err := bench.ReadPerfFile(*baseline)
@@ -111,12 +111,6 @@ func run() error {
 		}
 		pf.Series[*series] = results
 		pf.SetSeriesManifest(*series, runManifest)
-		if cpu != "" {
-			pf.CPU = cpu
-		}
-		if *note != "" {
-			pf.Note = *note
-		}
 		f, err := os.Create(*baseline)
 		if err != nil {
 			return err
@@ -141,8 +135,8 @@ func run() error {
 	if !ok {
 		return fmt.Errorf("%s has no series %q", *baseline, *series)
 	}
-	if pf.CPU != "" && cpu != "" && pf.CPU != cpu {
-		fmt.Printf("note: baseline recorded on %q, this run on %q — deltas compare machines, not code\n", pf.CPU, cpu)
+	if baseCPU := pf.Manifests[*series]["cpu"]; baseCPU != "" && cpu != "" && baseCPU != cpu {
+		fmt.Printf("note: baseline recorded on %q, this run on %q — deltas compare machines, not code\n", baseCPU, cpu)
 	}
 	deltas := bench.Compare(base, results)
 	fmt.Print(bench.FormatDeltas(deltas))
@@ -170,10 +164,11 @@ func run() error {
 
 // seriesManifest builds the run manifest recorded with -update: the
 // environment facts first (including the runner's core count, which
-// gates future hard comparisons), then `# manifest:` pairs from the
-// bench input, then operator -manifest pairs. Later sources win on key
-// collision — an explicit -manifest is a deliberate override.
-func seriesManifest(input, extra map[string]string) map[string]string {
+// gates future hard comparisons, and the input's cpu line), then
+// `# manifest:` pairs from the bench input, then operator -manifest
+// pairs. Later sources win on key collision — an explicit -manifest is a
+// deliberate override.
+func seriesManifest(cpu string, input, extra map[string]string) map[string]string {
 	m := map[string]string{
 		"go":         runtime.Version(),
 		"platform":   runtime.GOOS + "/" + runtime.GOARCH,
@@ -182,6 +177,9 @@ func seriesManifest(input, extra map[string]string) map[string]string {
 	}
 	if rev := obs.GitRev(); rev != "" {
 		m["git_rev"] = rev
+	}
+	if cpu != "" {
+		m["cpu"] = cpu
 	}
 	for k, v := range input {
 		m[k] = v

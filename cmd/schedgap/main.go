@@ -13,9 +13,11 @@
 //	schedgap -bench | benchdiff -update -series schedgap
 //	                                           # record the cycle numbers
 //
-// The report is deterministic for a fixed flag set: program generation
-// is seeded, scheduling is worker-count-independent, and the search
-// budget counts nodes, not wall time. CI diffs the -json output of a
+// Rows run in parallel, one benchmark per GOMAXPROCS worker
+// (bench.Sweep). The report is deterministic for a fixed flag set:
+// program generation is seeded, scheduling is worker-count-independent,
+// rows land in suite order, and the search budget counts nodes, not
+// wall time. CI diffs the -json output of a
 // small configuration against a committed golden
 // (testdata/ci/schedgap_smoke.json).
 package main
@@ -24,14 +26,13 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
+	"io"
 	"os"
-	"strings"
 	"text/tabwriter"
 
+	"eel/internal/bench"
 	"eel/internal/core"
 	"eel/internal/eel"
-	"eel/internal/exe"
 	"eel/internal/obs"
 	"eel/internal/sim"
 	"eel/internal/spawn"
@@ -39,7 +40,7 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "schedgap:", err)
 		os.Exit(1)
 	}
@@ -77,33 +78,33 @@ type Report struct {
 	Totals   []Row  `json:"totals"`
 }
 
-func run() error {
+// run parses args and writes the report to w; main turns its error
+// into a non-zero exit.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("schedgap", flag.ExitOnError)
 	var (
-		machinesFlag = flag.String("machines", "", "comma-separated machine models (default: all)")
-		benchFlag    = flag.String("benchmarks", "", "comma-separated benchmark subset (default: full suite)")
-		insts        = flag.Uint64("insts", 200_000, "approximate dynamic instructions per generated benchmark")
-		seed         = flag.Int64("seed", 1, "workload generation seed")
-		budget       = flag.Int("budget", 0, "exact-search node budget per block (0 = default, negative disables)")
-		maxInsts     = flag.Int("maxinsts", 0, "largest body size the exact search attempts (0 = default)")
-		workers      = flag.Int("workers", 0, "scheduling worker pool size (0 = GOMAXPROCS)")
-		maxSteps     = flag.Uint64("maxsteps", 1<<30, "simulator step limit per run")
-		jsonOut      = flag.Bool("json", false, "emit the report as JSON")
-		benchOut     = flag.Bool("bench", false, "emit go-bench lines (cycles) for benchdiff")
+		machinesFlag = fs.String("machines", "", "comma-separated machine models (default: all)")
+		benchFlag    = fs.String("benchmarks", "", "comma-separated benchmark subset (default: full suite)")
+		insts        = fs.Uint64("insts", 200_000, "approximate dynamic instructions per generated benchmark")
+		seed         = fs.Int64("seed", 1, "workload generation seed")
+		budget       = fs.Int("budget", 0, "exact-search node budget per block (0 = default, negative disables)")
+		maxInsts     = fs.Int("maxinsts", 0, "largest body size the exact search attempts (0 = default)")
+		workers      = fs.Int("workers", 0, "scheduling worker pool size (0 = GOMAXPROCS)")
+		maxSteps     = fs.Uint64("maxsteps", 1<<30, "simulator step limit per run")
+		jsonOut      = fs.Bool("json", false, "emit the report as JSON")
+		benchOut     = fs.Bool("bench", false, "emit go-bench lines (cycles) for benchdiff")
 	)
-	flag.Parse()
-	if flag.NArg() != 0 {
+	fs.Parse(args)
+	if fs.NArg() != 0 {
 		fmt.Fprintln(os.Stderr, "usage: schedgap [flags]")
 		os.Exit(2)
 	}
 
-	machines := spawn.Machines()
-	if *machinesFlag != "" {
-		machines = nil
-		for _, name := range strings.Split(*machinesFlag, ",") {
-			machines = append(machines, spawn.Machine(strings.TrimSpace(name)))
-		}
+	machines, err := bench.Machines(*machinesFlag)
+	if err != nil {
+		return err
 	}
-
+	cfg := config{*insts, *seed, *budget, *maxInsts, *workers, *maxSteps}
 	report := Report{
 		Insts:    *insts,
 		Seed:     *seed,
@@ -111,21 +112,12 @@ func run() error {
 		MaxInsts: *maxInsts,
 	}
 	for _, machine := range machines {
-		model, err := spawn.Load(machine)
+		rows, err := bench.Sweep(machine, bench.SplitList(*benchFlag), 0, nil, cfg.measure)
 		if err != nil {
 			return err
 		}
-		suite, err := selectBenchmarks(machine, *benchFlag)
-		if err != nil {
-			return err
-		}
-		var total Row
-		total.Machine, total.Benchmark = string(machine), "TOTAL"
-		for _, b := range suite {
-			row, err := measure(machine, model, b, *insts, *seed, *budget, *maxInsts, *workers, *maxSteps)
-			if err != nil {
-				return fmt.Errorf("%s/%s: %w", machine, b.Name, err)
-			}
+		total := Row{Machine: string(machine), Benchmark: "TOTAL"}
+		for _, row := range rows {
 			report.Rows = append(report.Rows, row)
 			total.GreedyCycles += row.GreedyCycles
 			total.OptimalCycles += row.OptimalCycles
@@ -145,57 +137,39 @@ func run() error {
 
 	switch {
 	case *benchOut:
-		writeBench(os.Stdout, &report)
+		writeBench(w, &report)
 	case *jsonOut:
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(&report)
 	default:
-		writeTable(os.Stdout, &report)
+		writeTable(w, &report)
 	}
 	return nil
 }
 
-// selectBenchmarks resolves the -benchmarks filter against a machine's
-// suite, preserving suite order; unknown names fail loudly with the
-// valid list.
-func selectBenchmarks(machine spawn.Machine, filter string) ([]workload.Benchmark, error) {
-	suite := workload.Suite(machine)
-	if filter == "" {
-		return suite, nil
-	}
-	valid := make(map[string]bool, len(suite))
-	names := make([]string, len(suite))
-	for i, b := range suite {
-		valid[b.Name] = true
-		names[i] = b.Name
-	}
-	want := make(map[string]bool)
-	for _, name := range strings.Split(filter, ",") {
-		name = strings.TrimSpace(name)
-		if !valid[name] {
-			return nil, fmt.Errorf("unknown benchmark %q (have %s)", name, strings.Join(names, ", "))
-		}
-		want[name] = true
-	}
-	var out []workload.Benchmark
-	for _, b := range suite {
-		if want[b.Name] {
-			out = append(out, b)
-		}
-	}
-	return out, nil
+// config is the flag values every row reads.
+type config struct {
+	insts            uint64
+	seed             int64
+	budget, maxInsts int
+	workers          int
+	maxSteps         uint64
 }
 
 // measure generates one benchmark, reschedules it under both engines,
 // and simulates both results on the machine's timing model.
-func measure(machine spawn.Machine, model *spawn.Model, b workload.Benchmark,
-	insts uint64, seed int64, budget, maxInsts, workers int, maxSteps uint64) (Row, error) {
-	row := Row{Machine: string(machine), Benchmark: b.Name}
+func (cfg config) measure(b workload.Benchmark, model *spawn.Model, meas *sim.Measurer) (row Row, err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("%s/%s: %w", model.Machine, b.Name, err)
+		}
+	}()
+	row = Row{Machine: string(model.Machine), Benchmark: b.Name}
 	x, err := workload.Generate(b, workload.Config{
-		Machine:         machine,
-		DynamicInsts:    insts,
-		Seed:            seed,
+		Machine:         model.Machine,
+		DynamicInsts:    cfg.insts,
+		Seed:            cfg.seed,
 		SkipCalibration: true,
 	})
 	if err != nil {
@@ -206,11 +180,11 @@ func measure(machine spawn.Machine, model *spawn.Model, b workload.Benchmark,
 	if err != nil {
 		return row, err
 	}
-	greedyExe, err := greedyEd.Reschedule(model, core.Options{Workers: workers})
+	greedyExe, err := greedyEd.Reschedule(model, core.Options{Workers: cfg.workers})
 	if err != nil {
 		return row, err
 	}
-	row.GreedyCycles, err = simCycles(greedyExe, model, machine, maxSteps)
+	row.GreedyCycles, err = bench.Cycles(meas, greedyExe, cfg.maxSteps)
 	if err != nil {
 		return row, err
 	}
@@ -221,16 +195,16 @@ func measure(machine spawn.Machine, model *spawn.Model, b workload.Benchmark,
 	}
 	reg := obs.NewRegistry()
 	optExe, err := optEd.Reschedule(model, core.Options{
-		Workers:         workers,
+		Workers:         cfg.workers,
 		Engine:          core.EngineOptimal,
-		OptimalBudget:   budget,
-		OptimalMaxInsts: maxInsts,
+		OptimalBudget:   cfg.budget,
+		OptimalMaxInsts: cfg.maxInsts,
 		Obs:             reg,
 	})
 	if err != nil {
 		return row, err
 	}
-	row.OptimalCycles, err = simCycles(optExe, model, machine, maxSteps)
+	row.OptimalCycles, err = bench.Cycles(meas, optExe, cfg.maxSteps)
 	if err != nil {
 		return row, err
 	}
@@ -249,35 +223,17 @@ func measure(machine spawn.Machine, model *spawn.Model, b workload.Benchmark,
 	return row, nil
 }
 
-func simCycles(x *exe.Exe, model *spawn.Model, machine spawn.Machine, maxSteps uint64) (int64, error) {
-	_, tm, res, err := sim.RunMeasured(x, model, sim.DefaultTiming(machine), maxSteps)
-	if err != nil {
-		return 0, err
-	}
-	if !res.Halted {
-		return 0, fmt.Errorf("simulation did not halt within %d steps", maxSteps)
-	}
-	return int64(tm.Cycles()), nil
-}
-
 // fillPercentages derives the ratio columns, rounded to 4 decimals so
 // the JSON golden stays readable and stable.
 func fillPercentages(r *Row) {
-	r.GapPct = pct(r.GreedyCycles-r.OptimalCycles, r.GreedyCycles)
-	r.ProvenPct = pct(r.Proven, r.Blocks)
-	r.SmallProvenPct = pct(r.SmallProven, r.SmallBlocks)
-}
-
-func pct(num, den int64) float64 {
-	if den == 0 {
-		return 0
-	}
-	return math.Round(1e4*100*float64(num)/float64(den)) / 1e4
+	r.GapPct = bench.Pct(r.GreedyCycles-r.OptimalCycles, r.GreedyCycles)
+	r.ProvenPct = bench.Pct(r.Proven, r.Blocks)
+	r.SmallProvenPct = bench.Pct(r.SmallProven, r.SmallBlocks)
 }
 
 // writeTable renders the human report: one aligned row per benchmark,
 // one TOTAL row per machine.
-func writeTable(w *os.File, rep *Report) {
+func writeTable(w io.Writer, rep *Report) {
 	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
 	fmt.Fprintln(tw, "machine\tbenchmark\tgreedy-cycles\toptimal-cycles\tgap%\tproven\tsmall-proven\texhausted\timproved\tsaved")
 	emit := func(r *Row) {
@@ -299,7 +255,7 @@ func writeTable(w *os.File, rep *Report) {
 // writeBench emits the cycle counts in go-bench syntax so benchdiff can
 // record them as a series in BENCH_sched.json (the value is simulated
 // cycles, not nanoseconds; the unit is required by the format).
-func writeBench(w *os.File, rep *Report) {
+func writeBench(w io.Writer, rep *Report) {
 	for i := range rep.Rows {
 		r := &rep.Rows[i]
 		fmt.Fprintf(w, "BenchmarkSchedGap/machine=%s/bench=%s/greedy 1 %d ns/op\n", r.Machine, r.Benchmark, r.GreedyCycles)

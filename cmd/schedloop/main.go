@@ -16,8 +16,10 @@
 //	schedloop -bench | benchdiff -update -series swp
 //	                                           # record the cycle numbers
 //
-// The report is deterministic for a fixed flag set: program generation
-// is seeded and the pipelining pass is worker-count-independent, so CI
+// Rows run in parallel, one benchmark per GOMAXPROCS worker
+// (bench.Sweep). The report is deterministic for a fixed flag set:
+// program generation is seeded, the pipelining pass is
+// worker-count-independent and rows land in suite order, so CI
 // diffs the -json output of a small configuration against a committed
 // golden (testdata/ci/schedloop_smoke.json) and byte-compares -dump
 // output across worker counts.
@@ -27,12 +29,14 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"text/tabwriter"
 
+	"eel/internal/bench"
 	"eel/internal/core"
 	"eel/internal/eel"
 	"eel/internal/exe"
@@ -42,7 +46,7 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "schedloop:", err)
 		os.Exit(1)
 	}
@@ -81,31 +85,31 @@ type Report struct {
 	Totals []Row  `json:"totals"`
 }
 
-func run() error {
+// run parses args and writes the report to w; main turns its error
+// into a non-zero exit.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("schedloop", flag.ExitOnError)
 	var (
-		machinesFlag = flag.String("machines", "", "comma-separated machine models (default: all)")
-		benchFlag    = flag.String("benchmarks", "", "comma-separated benchmark subset (default: full suite)")
-		insts        = flag.Uint64("insts", 200_000, "approximate dynamic instructions per generated benchmark")
-		seed         = flag.Int64("seed", 1, "workload generation seed")
-		workers      = flag.Int("workers", 0, "scheduling worker pool size (0 = GOMAXPROCS)")
-		maxSteps     = flag.Uint64("maxsteps", 1<<30, "simulator step limit per run")
-		check        = flag.Bool("check", false, "exit nonzero if any benchmark regressed (never-worse violation)")
-		dumpDir      = flag.String("dump", "", "write each pipelined executable to this directory")
-		jsonOut      = flag.Bool("json", false, "emit the report as JSON")
-		benchOut     = flag.Bool("bench", false, "emit go-bench lines (cycles) for benchdiff")
+		machinesFlag = fs.String("machines", "", "comma-separated machine models (default: all)")
+		benchFlag    = fs.String("benchmarks", "", "comma-separated benchmark subset (default: full suite)")
+		insts        = fs.Uint64("insts", 200_000, "approximate dynamic instructions per generated benchmark")
+		seed         = fs.Int64("seed", 1, "workload generation seed")
+		workers      = fs.Int("workers", 0, "scheduling worker pool size (0 = GOMAXPROCS)")
+		maxSteps     = fs.Uint64("maxsteps", 1<<30, "simulator step limit per run")
+		check        = fs.Bool("check", false, "exit nonzero if any benchmark regressed (never-worse violation)")
+		dumpDir      = fs.String("dump", "", "write each pipelined executable to this directory")
+		jsonOut      = fs.Bool("json", false, "emit the report as JSON")
+		benchOut     = fs.Bool("bench", false, "emit go-bench lines (cycles) for benchdiff")
 	)
-	flag.Parse()
-	if flag.NArg() != 0 {
+	fs.Parse(args)
+	if fs.NArg() != 0 {
 		fmt.Fprintln(os.Stderr, "usage: schedloop [flags]")
 		os.Exit(2)
 	}
 
-	machines := spawn.Machines()
-	if *machinesFlag != "" {
-		machines = nil
-		for _, name := range strings.Split(*machinesFlag, ",") {
-			machines = append(machines, spawn.Machine(strings.TrimSpace(name)))
-		}
+	machines, err := bench.Machines(*machinesFlag)
+	if err != nil {
+		return err
 	}
 	if *dumpDir != "" {
 		if err := os.MkdirAll(*dumpDir, 0o755); err != nil {
@@ -113,23 +117,15 @@ func run() error {
 		}
 	}
 
+	cfg := config{*insts, *seed, *workers, *maxSteps, *dumpDir}
 	report := Report{Insts: *insts, Seed: *seed}
 	for _, machine := range machines {
-		model, err := spawn.Load(machine)
+		rows, err := bench.Sweep(machine, bench.SplitList(*benchFlag), 0, nil, cfg.measure)
 		if err != nil {
 			return err
 		}
-		suite, err := selectBenchmarks(machine, *benchFlag)
-		if err != nil {
-			return err
-		}
-		var total Row
-		total.Machine, total.Benchmark = string(machine), "TOTAL"
-		for _, b := range suite {
-			row, err := measure(machine, model, b, *insts, *seed, *workers, *maxSteps, *dumpDir)
-			if err != nil {
-				return fmt.Errorf("%s/%s: %w", machine, b.Name, err)
-			}
+		total := Row{Machine: string(machine), Benchmark: "TOTAL"}
+		for _, row := range rows {
 			report.Rows = append(report.Rows, row)
 			total.Loops += row.Loops
 			total.Irreducible += row.Irreducible
@@ -138,7 +134,7 @@ func run() error {
 			total.BaseCycles += row.BaseCycles
 			total.SWPCycles += row.SWPCycles
 		}
-		total.SavedPct = pct(total.BaseCycles-total.SWPCycles, total.BaseCycles)
+		total.SavedPct = bench.Pct(total.BaseCycles-total.SWPCycles, total.BaseCycles)
 		report.Totals = append(report.Totals, total)
 	}
 
@@ -154,57 +150,41 @@ func run() error {
 
 	switch {
 	case *benchOut:
-		writeBench(os.Stdout, &report)
+		writeBench(w, &report)
 	case *jsonOut:
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(&report)
 	default:
-		writeTable(os.Stdout, &report)
+		writeTable(w, &report)
 	}
 	return nil
 }
 
-// selectBenchmarks resolves the -benchmarks filter against a machine's
-// suite, preserving suite order; unknown names fail loudly.
-func selectBenchmarks(machine spawn.Machine, filter string) ([]workload.Benchmark, error) {
-	suite := workload.Suite(machine)
-	if filter == "" {
-		return suite, nil
-	}
-	valid := make(map[string]bool, len(suite))
-	names := make([]string, len(suite))
-	for i, b := range suite {
-		valid[b.Name] = true
-		names[i] = b.Name
-	}
-	want := make(map[string]bool)
-	for _, name := range strings.Split(filter, ",") {
-		name = strings.TrimSpace(name)
-		if !valid[name] {
-			return nil, fmt.Errorf("unknown benchmark %q (have %s)", name, strings.Join(names, ", "))
-		}
-		want[name] = true
-	}
-	var out []workload.Benchmark
-	for _, b := range suite {
-		if want[b.Name] {
-			out = append(out, b)
-		}
-	}
-	return out, nil
+// config is the flag values every row reads.
+type config struct {
+	insts    uint64
+	seed     int64
+	workers  int
+	maxSteps uint64
+	dumpDir  string
 }
 
 // measure generates one benchmark, block-schedules it, pipelines its hot
 // loops under the never-worse guard, and attributes cycles to the
 // rewritten loops on the timing model.
-func measure(machine spawn.Machine, model *spawn.Model, b workload.Benchmark,
-	insts uint64, seed int64, workers int, maxSteps uint64, dumpDir string) (Row, error) {
-	row := Row{Machine: string(machine), Benchmark: b.Name}
+func (cfg config) measure(b workload.Benchmark, model *spawn.Model, meas *sim.Measurer) (row Row, err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("%s/%s: %w", model.Machine, b.Name, err)
+		}
+	}()
+	machine := model.Machine
+	row = Row{Machine: string(machine), Benchmark: b.Name}
 	x, err := workload.Generate(b, workload.Config{
 		Machine:         machine,
-		DynamicInsts:    insts,
-		Seed:            seed,
+		DynamicInsts:    cfg.insts,
+		Seed:            cfg.seed,
 		SkipCalibration: true,
 	})
 	if err != nil {
@@ -215,34 +195,24 @@ func measure(machine spawn.Machine, model *spawn.Model, b workload.Benchmark,
 	if err != nil {
 		return row, err
 	}
-	scheduled, err := ed.Reschedule(model, core.Options{Workers: workers})
+	scheduled, err := ed.Reschedule(model, core.Options{Workers: cfg.workers})
 	if err != nil {
 		return row, err
 	}
 
 	// The pipelining pass prices every candidate by whole-program
-	// simulated cycles; the measurer recycles simulator state across
-	// those runs.
+	// simulated cycles on the worker's measurer, which recycles simulator
+	// state across those runs.
 	sed, err := eel.Open(scheduled)
 	if err != nil {
 		return row, err
 	}
-	meas := sim.NewMeasurer(model, sim.DefaultTiming(machine))
-	price := func(y *exe.Exe) (int64, error) {
-		in, tm, res, err := meas.Run(y, maxSteps)
-		if err != nil {
-			return 0, err
-		}
-		defer meas.Release(in, tm)
-		if !res.Halted {
-			return 0, fmt.Errorf("simulation did not halt within %d steps", maxSteps)
-		}
-		return tm.Cycles(), nil
-	}
 	res, err := sed.PipelineLoops(eel.PipelineOptions{
 		Machine: model,
-		Sched:   core.Options{Workers: workers},
-		Price:   price,
+		Sched:   core.Options{Workers: cfg.workers},
+		Price: func(y *exe.Exe) (int64, error) {
+			return bench.Cycles(meas, y, cfg.maxSteps)
+		},
 	})
 	if err != nil {
 		return row, err
@@ -254,7 +224,7 @@ func measure(machine spawn.Machine, model *spawn.Model, b workload.Benchmark,
 	row.Accepted = res.Accepted
 	row.BaseCycles = res.BaseCost
 	row.SWPCycles = res.Cost
-	row.SavedPct = pct(row.BaseCycles-row.SWPCycles, row.BaseCycles)
+	row.SavedPct = bench.Pct(row.BaseCycles-row.SWPCycles, row.BaseCycles)
 
 	// Hottest accepted loop's II vs MII, and cycle-per-iteration
 	// attribution over every accepted loop's text range.
@@ -276,19 +246,19 @@ func measure(machine spawn.Machine, model *spawn.Model, b workload.Benchmark,
 	}
 	if hot >= 0 {
 		row.II, row.MII = res.Loops[hot].II, res.Loops[hot].MII
-		row.IterCyclesBefore, err = iterCycles(scheduled, model, machine, maxSteps, before, trips)
+		row.IterCyclesBefore, err = iterCycles(scheduled, model, cfg.maxSteps, before, trips)
 		if err != nil {
 			return row, err
 		}
-		row.IterCyclesAfter, err = iterCycles(res.Exe, model, machine, maxSteps, after, trips)
+		row.IterCyclesAfter, err = iterCycles(res.Exe, model, cfg.maxSteps, after, trips)
 		if err != nil {
 			return row, err
 		}
 	}
 
-	if dumpDir != "" {
+	if cfg.dumpDir != "" {
 		name := fmt.Sprintf("%s_%s.exe", machine, strings.ReplaceAll(b.Name, "/", "_"))
-		if err := res.Exe.WriteFile(filepath.Join(dumpDir, name)); err != nil {
+		if err := res.Exe.WriteFile(filepath.Join(cfg.dumpDir, name)); err != nil {
 			return row, err
 		}
 	}
@@ -298,13 +268,12 @@ func measure(machine spawn.Machine, model *spawn.Model, b workload.Benchmark,
 // iterCycles simulates x once and returns the aggregate steady-state
 // cycles per iteration over the given loop ranges: total attributed
 // cycles divided by total iterations (range entries x trip count).
-func iterCycles(x *exe.Exe, model *spawn.Model, machine spawn.Machine,
-	maxSteps uint64, ranges [][2]int, trips []int64) (float64, error) {
+func iterCycles(x *exe.Exe, model *spawn.Model, maxSteps uint64, ranges [][2]int, trips []int64) (float64, error) {
 	in, err := sim.NewInterp(x)
 	if err != nil {
 		return 0, err
 	}
-	tm := sim.NewProgramTiming(model, sim.DefaultTiming(machine), x.TextBase, len(x.Text))
+	tm := sim.NewProgramTiming(model, sim.DefaultTiming(model.Machine), x.TextBase, len(x.Text))
 	m := sim.NewRangeMeter(tm, ranges)
 	res, err := in.Run(maxSteps, m.Observe)
 	if err != nil {
@@ -324,16 +293,9 @@ func iterCycles(x *exe.Exe, model *spawn.Model, machine spawn.Machine,
 	return math.Round(1e4*float64(cycles)/float64(iters)) / 1e4, nil
 }
 
-func pct(num, den int64) float64 {
-	if den == 0 {
-		return 0
-	}
-	return math.Round(1e4*100*float64(num)/float64(den)) / 1e4
-}
-
 // writeTable renders the human report: one aligned row per benchmark,
 // one TOTAL row per machine.
-func writeTable(w *os.File, rep *Report) {
+func writeTable(w io.Writer, rep *Report) {
 	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
 	fmt.Fprintln(tw, "machine\tbenchmark\tloops\tcand\taccepted\tII\tMII\tcyc/iter-before\tcyc/iter-after\tbase-cycles\tswp-cycles\tsaved%")
 	emit := func(r *Row) {
@@ -353,7 +315,7 @@ func writeTable(w *os.File, rep *Report) {
 // writeBench emits the cycle counts in go-bench syntax so benchdiff can
 // record them as the swp series in BENCH_sched.json (the value is
 // simulated cycles, not nanoseconds; the unit is required by the format).
-func writeBench(w *os.File, rep *Report) {
+func writeBench(w io.Writer, rep *Report) {
 	for i := range rep.Rows {
 		r := &rep.Rows[i]
 		fmt.Fprintf(w, "BenchmarkSWP/machine=%s/bench=%s/base 1 %d ns/op\n", r.Machine, r.Benchmark, r.BaseCycles)

@@ -28,7 +28,6 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"eel/internal/bench"
 	"eel/internal/core"
@@ -99,10 +98,7 @@ func run() error {
 
 	// Unknown names are rejected by bench.RunTable itself, which lists
 	// every unknown benchmark in one error.
-	subset := []string(nil)
-	if *benchmarks != "" {
-		subset = strings.Split(*benchmarks, ",")
-	}
+	subset := bench.SplitList(*benchmarks)
 	mk := func(machine spawn.Machine, resched bool) bench.TableConfig {
 		cfg := bench.TableConfig{
 			Machine:            machine,

@@ -9,13 +9,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"eel/internal/core"
 	"eel/internal/eel"
@@ -134,21 +130,9 @@ func measure(meas *sim.Measurer, x *exe.Exe, maxSteps uint64) (int64, float64, *
 	return cycles, sec, in, nil
 }
 
-// RunBenchmark measures one benchmark under a configuration.
-func RunBenchmark(b workload.Benchmark, cfg TableConfig) (Row, error) {
-	cfg = cfg.withDefaults()
-	model, err := spawn.Load(cfg.Machine)
-	if err != nil {
-		return Row{}, err
-	}
-	meas := sim.NewMeasurer(model, sim.DefaultTiming(cfg.Machine))
-	meas.Obs = cfg.Obs
-	return runBenchmark(b, cfg, model, meas)
-}
-
-// runBenchmark is RunBenchmark with the model and measurer supplied by the
-// caller (RunTable's workers reuse both across rows). cfg must already
-// have defaults applied.
+// runBenchmark measures one benchmark row under a configuration, on the
+// model and measurer of the Sweep worker that claimed it. cfg must
+// already have defaults applied.
 //
 // The measurement legs are independent experiments on immutable inputs —
 // the generated original and the opened baseline editor — so they run
@@ -309,143 +293,20 @@ func ratio(a, b int64) float64 {
 }
 
 // RunTable runs a full experiment over the suite. Benchmark rows are
-// fanned out over cfg.TableWorkers goroutines (0 = GOMAXPROCS); rows are
-// independent experiments, so the table is byte-identical for any worker
-// count. Unknown names in cfg.Benchmarks are an error.
+// fanned out by Sweep over cfg.TableWorkers goroutines (0 = GOMAXPROCS);
+// the table is byte-identical for any worker count. Unknown names in
+// cfg.Benchmarks are an error.
 func RunTable(cfg TableConfig) (*Table, error) {
 	cfg = cfg.withDefaults()
-	suite := workload.Suite(cfg.Machine)
-	list := suite
-	if len(cfg.Benchmarks) > 0 {
-		known := make(map[string]bool, len(suite))
-		for _, b := range suite {
-			known[b.Name] = true
-		}
-		var unknown []string
-		for _, name := range cfg.Benchmarks {
-			if !known[name] {
-				unknown = append(unknown, name)
-			}
-		}
-		if len(unknown) > 0 {
-			return nil, fmt.Errorf("bench: unknown benchmarks: %s", strings.Join(unknown, ", "))
-		}
-		list = nil
-		for _, b := range suite {
-			if contains(cfg.Benchmarks, b.Name) {
-				list = append(list, b)
-			}
-		}
-	}
-	t := &Table{Config: cfg}
-	if len(list) == 0 {
-		return t, nil
-	}
 	cfg.stampManifest()
-	model, err := spawn.Load(cfg.Machine)
+	rows, err := Sweep(cfg.Machine, cfg.Benchmarks, cfg.TableWorkers, cfg.Obs,
+		func(b workload.Benchmark, model *spawn.Model, meas *sim.Measurer) (Row, error) {
+			return runBenchmark(b, cfg, model, meas)
+		})
 	if err != nil {
 		return nil, err
 	}
-	tcfg := sim.DefaultTiming(cfg.Machine)
-
-	workers := cfg.TableWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(list) {
-		workers = len(list)
-	}
-
-	// Workers claim row indices from an atomic counter, so claims happen
-	// in index order. The first error is deterministic: if row i is the
-	// lowest-index failure, every lower row succeeds and no higher row can
-	// set failed before i is claimed, so errs[i] is always populated and
-	// the in-order scan below always returns it. failed only short-
-	// circuits *new* claims after an error.
-	rows := make([]Row, len(list))
-	errs := make([]error, len(list))
-	rowSecs := make([]float64, len(list)) // wall time per row, for slowest_rows
-	rowHist := cfg.Obs.Histogram("bench.row_millis", obs.ExpBuckets(8, 16))
-	var next atomic.Int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Per-worker measurer: loaded model shared, interpreter and
-			// timing state pooled across this worker's rows.
-			meas := sim.NewMeasurer(model, tcfg)
-			meas.Obs = cfg.Obs
-			for !failed.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= len(list) {
-					return
-				}
-				span := cfg.Obs.StartSpan("bench.row." + list[i].Name)
-				start := time.Now()
-				row, err := runBenchmark(list[i], cfg, model, meas)
-				rowSecs[i] = time.Since(start).Seconds()
-				span.End()
-				rowHist.Observe(int64(rowSecs[i] * 1000))
-				if err != nil {
-					errs[i] = err
-					failed.Store(true)
-					return
-				}
-				rows[i] = row
-			}
-		}()
-	}
-	wg.Wait()
-	recordSlowestRows(cfg.Obs, list, rowSecs)
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	t.Rows = rows
-	return t, nil
-}
-
-// SlowRow is one entry of the slowest_rows extra: a benchmark row and
-// the wall time RunTable spent on it (all measurement legs included).
-type SlowRow struct {
-	Name   string  `json:"name"`
-	Millis float64 `json:"millis"`
-}
-
-// recordSlowestRows attaches the top-5 wall-time rows to the registry,
-// so a -metrics export answers "what made this run slow" directly.
-func recordSlowestRows(reg *obs.Registry, list []workload.Benchmark, rowSecs []float64) {
-	if reg == nil {
-		return
-	}
-	slow := make([]SlowRow, 0, len(list))
-	for i := range list {
-		if rowSecs[i] > 0 {
-			slow = append(slow, SlowRow{Name: list[i].Name, Millis: rowSecs[i] * 1000})
-		}
-	}
-	sort.Slice(slow, func(a, b int) bool {
-		if slow[a].Millis != slow[b].Millis {
-			return slow[a].Millis > slow[b].Millis
-		}
-		return slow[a].Name < slow[b].Name
-	})
-	if len(slow) > 5 {
-		slow = slow[:5]
-	}
-	reg.PutExtra("slowest_rows", slow)
-}
-
-func contains(xs []string, s string) bool {
-	for _, x := range xs {
-		if x == s {
-			return true
-		}
-	}
-	return false
+	return &Table{Config: cfg, Rows: rows}, nil
 }
 
 // Averages returns (mean inst ratio, mean sched ratio, mean % hidden) for

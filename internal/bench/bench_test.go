@@ -142,13 +142,13 @@ func TestUnknownBenchmarksAreAnError(t *testing.T) {
 	if err == nil {
 		t.Fatal("unknown benchmark names were silently ignored")
 	}
-	for _, name := range []string{"999.nothere", "000.bogus"} {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("error %q does not list unknown benchmark %q", err, name)
-		}
+	// The error names exactly the unknown benchmarks, then the valid ones.
+	unknown, valid, ok := strings.Cut(err.Error(), " (valid: ")
+	if want := "bench: unknown benchmarks: 999.nothere, 000.bogus"; unknown != want {
+		t.Errorf("error %q names %q as unknown, want %q", err, unknown, want)
 	}
-	if strings.Contains(err.Error(), "130.li") {
-		t.Errorf("error %q lists a known benchmark", err)
+	if !ok || !strings.Contains(valid, "130.li") {
+		t.Errorf("error %q does not list the valid benchmarks", err)
 	}
 }
 

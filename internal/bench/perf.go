@@ -29,12 +29,10 @@ type PerfResult struct {
 // side by side — e.g. a PR's predecessor numbers under one key and its
 // own under another — so speedup claims in the docs stay auditable.
 // Manifests carries a run-manifest block per series (go version,
-// platform, git revision, operator-supplied facts), stamped by
-// `benchdiff -update` and preserved verbatim for every other series, so
-// a trajectory of recorded numbers keeps saying where each came from.
+// platform, git revision, CPU, operator-supplied facts such as a note),
+// stamped by `benchdiff -update` and preserved verbatim for every other
+// series, so each recorded series keeps saying where it came from.
 type PerfFile struct {
-	Note      string                       `json:"note,omitempty"`
-	CPU       string                       `json:"cpu,omitempty"`
 	Series    map[string][]PerfResult      `json:"series"`
 	Manifests map[string]map[string]string `json:"manifests,omitempty"`
 }

@@ -62,7 +62,10 @@ func TestPerfFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &PerfFile{Note: "test", CPU: cpu, Series: map[string][]PerfResult{"current": results}}
+	f := &PerfFile{
+		Series:    map[string][]PerfResult{"current": results},
+		Manifests: map[string]map[string]string{"current": {"cpu": cpu, "note": "test"}},
+	}
 	var buf bytes.Buffer
 	if err := f.Write(&buf); err != nil {
 		t.Fatal(err)
@@ -75,7 +78,7 @@ func TestPerfFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Note != f.Note || g.CPU != f.CPU || len(g.Series["current"]) != len(results) {
+	if m := g.Manifests["current"]; m["note"] != "test" || m["cpu"] != cpu || len(g.Series["current"]) != len(results) {
 		t.Fatalf("round trip mismatch: %+v", g)
 	}
 	for i, r := range g.Series["current"] {

@@ -169,9 +169,16 @@ func (ed *Editor) EditCtx(ctx context.Context, tool Instrumenter, opts Options) 
 		BSSSize:  ed.exe.BSSSize,
 		Symbols:  append([]exe.Symbol(nil), ed.exe.Symbols...),
 	}
+	// Phases are recorded on the request trace when ctx carries one;
+	// with no trace every span call is a nil no-op.
+	tr, parent := obs.TraceParentFrom(ctx)
+
 	edited := &Editor{exe: out, insts: ed.insts, graph: ed.graph}
 	if tool != nil {
-		if err := tool.Setup(edited); err != nil {
+		span := tr.StartChild("eel.setup", parent)
+		err := tool.Setup(edited)
+		span.End()
+		if err != nil {
 			return nil, fmt.Errorf("eel: instrumenter setup: %w", err)
 		}
 	}
@@ -187,10 +194,6 @@ func (ed *Editor) EditCtx(ctx context.Context, tool Instrumenter, opts Options) 
 			sched = ed.schedulerFor(opts.Machine, sc)
 		}
 	}
-
-	// Phases are recorded on the request trace when ctx carries one;
-	// with no trace every span call is a nil no-op.
-	tr, parent := obs.TraceParentFrom(ctx)
 
 	// Pass 1a: rebuild each block's instruction sequence (instrumentation
 	// prepended), then schedule the whole batch.

@@ -220,14 +220,15 @@ func (failingScheduler) ScheduleBlocksCtx(ctx context.Context, blocks [][]sparc.
 
 // TestFailedScheduleEndsSpan: a scheduling error still closes the
 // trace's eel.schedule span, so the error trace a flight recorder keeps
-// shows where the time went.
+// shows where the time went. The instrumenter's Setup, which runs
+// first, has its own closed eel.setup span.
 func TestFailedScheduleEndsSpan(t *testing.T) {
 	ed, err := eel.Open(buildExe(t, loopProgram))
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := obs.NewTrace("request")
-	_, err = ed.EditCtx(obs.WithTrace(context.Background(), tr), nil, eel.Options{
+	_, err = ed.EditCtx(obs.WithTrace(context.Background(), tr), &qpt.SlowProfiler{}, eel.Options{
 		Machine:   spawn.MustLoad(spawn.UltraSPARC),
 		Schedule:  true,
 		Scheduler: failingScheduler{},
@@ -236,13 +237,49 @@ func TestFailedScheduleEndsSpan(t *testing.T) {
 		t.Fatalf("EditCtx error = %v, want the scheduler's", err)
 	}
 	tr.Finish()
+	requireEndedSpans(t, tr, "eel.setup", "eel.schedule")
+}
+
+// failingSetup is an instrumenter whose Setup takes a moment and fails.
+type failingSetup struct{}
+
+func (failingSetup) Setup(ed *eel.Editor) error {
+	time.Sleep(time.Millisecond)
+	return errors.New("injected setup failure")
+}
+
+func (failingSetup) Instrument(b *cfg.Block) []sparc.Inst { return nil }
+
+// TestFailedSetupEndsSpan: an instrumenter setup error still closes the
+// trace's eel.setup span.
+func TestFailedSetupEndsSpan(t *testing.T) {
+	ed, err := eel.Open(buildExe(t, loopProgram))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTrace("request")
+	_, err = ed.EditCtx(obs.WithTrace(context.Background(), tr), failingSetup{}, eel.Options{})
+	if err == nil || !strings.Contains(err.Error(), "injected setup failure") {
+		t.Fatalf("EditCtx error = %v, want the instrumenter's", err)
+	}
+	tr.Finish()
+	requireEndedSpans(t, tr, "eel.setup")
+}
+
+// requireEndedSpans fails unless the finished trace holds each named
+// span with a positive duration.
+func requireEndedSpans(t *testing.T, tr *obs.Trace, names ...string) {
+	t.Helper()
+	dur := map[string]int64{}
 	for _, sp := range tr.Export().Spans {
-		if sp.Name == "eel.schedule" {
-			if sp.DurNs <= 0 {
-				t.Fatalf("eel.schedule left open: dur_ns=%d", sp.DurNs)
-			}
-			return
+		dur[sp.Name] = sp.DurNs
+	}
+	for _, name := range names {
+		d, ok := dur[name]
+		if !ok {
+			t.Errorf("trace has no %s span", name)
+		} else if d <= 0 {
+			t.Errorf("%s left open: dur_ns=%d", name, d)
 		}
 	}
-	t.Fatal("trace has no eel.schedule span")
 }
