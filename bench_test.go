@@ -370,3 +370,40 @@ func BenchmarkSimulate(b *testing.B) {
 	}
 	b.ReportMetric(float64(steps)/b.Elapsed().Seconds()/1e6, "Minst/s")
 }
+
+// BenchmarkEditQPT measures the offline edit path — open, QPT slow
+// profiling, schedule, lay out — on the gcc stand-in with its kernel
+// count scaled until the text holds about 10k, 20k and 40k instructions.
+// Counter placement and layout are linear in the text, so ns/op should
+// grow about 4x from text=10k to text=40k.
+func BenchmarkEditQPT(b *testing.B) {
+	machine := spawn.UltraSPARC
+	model := spawn.MustLoad(machine)
+	wb, _ := workload.ByName("126.gcc", machine)
+	cfg := workload.Config{Machine: machine, DynamicInsts: 20_000, SkipCalibration: true}
+	base, err := workload.Generate(wb, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, insts := range []int{10_000, 20_000, 40_000} {
+		scaled := wb
+		scaled.Kernels = (wb.Kernels*insts + len(base.Text) - 1) / len(base.Text)
+		x, err := workload.Generate(scaled, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("text=%dk", insts/1000), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ed, err := eel.Open(x)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := ed.Edit(&qpt.SlowProfiler{}, eel.Options{Machine: model, Schedule: true}); err != nil {
+					b.Fatal(err)
+				}
+				ed.Close()
+			}
+		})
+	}
+}

@@ -7,6 +7,7 @@ package cfg
 
 import (
 	"fmt"
+	"sort"
 
 	"eel/internal/sparc"
 )
@@ -59,9 +60,7 @@ func (b *Block) Size() int { return len(b.Insts) }
 // Graph is the control-flow graph of a text segment.
 type Graph struct {
 	Blocks []*Block
-	// ByStart maps an instruction index to the block starting there.
-	ByStart map[int]*Block
-	Insts   []sparc.Inst
+	Insts  []sparc.Inst
 }
 
 // Build constructs the CFG of a decoded text segment. Branch displacements
@@ -71,7 +70,7 @@ type Graph struct {
 func Build(insts []sparc.Inst) (*Graph, error) {
 	n := len(insts)
 	if n == 0 {
-		return &Graph{ByStart: map[int]*Block{}}, nil
+		return &Graph{}, nil
 	}
 
 	// Validate delay slots and find branch targets.
@@ -120,25 +119,14 @@ func Build(insts []sparc.Inst) (*Graph, error) {
 		}
 	}
 
-	g := &Graph{ByStart: make(map[int]*Block), Insts: insts}
+	// Find the block boundaries, then carve every block from one array.
+	var ends []int
 	start := 0
 	flush := func(end int) {
-		if end <= start {
-			return
+		if end > start {
+			ends = append(ends, end)
+			start = end
 		}
-		b := &Block{
-			Index: len(g.Blocks),
-			Start: start,
-			End:   end,
-			Insts: insts[start:end],
-		}
-		last := end - 2
-		if last >= start && insts[last].IsCTI() {
-			b.HasCTI = true
-		}
-		g.Blocks = append(g.Blocks, b)
-		g.ByStart[start] = b
-		start = end
 	}
 	for i := 0; i < n; i++ {
 		if i > start && leader[i] {
@@ -155,7 +143,24 @@ func Build(insts []sparc.Inst) (*Graph, error) {
 	}
 	flush(n)
 
-	// Wire edges.
+	g := &Graph{Blocks: make([]*Block, len(ends)), Insts: insts}
+	slab := make([]Block, len(ends))
+	start = 0
+	for bi, end := range ends {
+		b := &slab[bi]
+		*b = Block{Index: bi, Start: start, End: end, Insts: insts[start:end]}
+		last := end - 2
+		b.HasCTI = last >= start && insts[last].IsCTI()
+		g.Blocks[bi] = b
+		start = end
+	}
+
+	// Wire edges. A block has at most two successors (the branch target,
+	// then the fallthrough), so one array backs every successor list.
+	succs := make([]*Block, 2*len(g.Blocks))
+	for bi, b := range g.Blocks {
+		b.Succs = succs[2*bi : 2*bi : 2*bi+2]
+	}
 	for bi, b := range g.Blocks {
 		if !b.HasCTI {
 			last := b.Insts[len(b.Insts)-1]
@@ -166,7 +171,7 @@ func Build(insts []sparc.Inst) (*Graph, error) {
 			// Fallthrough into the next block, if any.
 			if bi+1 < len(g.Blocks) {
 				b.FallsThrough = true
-				link(b, g.Blocks[bi+1])
+				b.Succs = append(b.Succs, g.Blocks[bi+1])
 			}
 			continue
 		}
@@ -174,26 +179,45 @@ func Build(insts []sparc.Inst) (*Graph, error) {
 		switch cti.Op {
 		case sparc.OpBicc, sparc.OpFBfcc:
 			t := b.End - 2 + int(cti.Disp)
-			target, ok := g.ByStart[t]
-			if !ok {
+			ti := blockStarting(g.Blocks, t)
+			if ti < 0 {
 				return nil, fmt.Errorf("cfg: branch target %d is not a block leader", t)
 			}
-			link(b, target)
+			b.Succs = append(b.Succs, g.Blocks[ti])
 			if !cti.IsUncond() && cti.Cond != sparc.CondN {
 				if bi+1 < len(g.Blocks) {
 					b.FallsThrough = true
-					link(b, g.Blocks[bi+1])
+					b.Succs = append(b.Succs, g.Blocks[bi+1])
 				}
 			}
 		case sparc.OpCall:
 			// The callee returns: control continues after the delay slot.
 			if bi+1 < len(g.Blocks) {
 				b.FallsThrough = true
-				link(b, g.Blocks[bi+1])
+				b.Succs = append(b.Succs, g.Blocks[bi+1])
 			}
 		case sparc.OpJmpl:
 			// Indirect transfer (return or computed jump): no static
 			// successors.
+		}
+	}
+	// Predecessor lists are counted, carved from one array, and filled in
+	// edge order.
+	npred := make([]int, len(g.Blocks))
+	edges := 0
+	for _, b := range g.Blocks {
+		for _, t := range b.Succs {
+			npred[t.Index]++
+			edges++
+		}
+	}
+	preds := make([]*Block, edges)
+	for bi, b := range g.Blocks {
+		b.Preds, preds = preds[:0:npred[bi]], preds[npred[bi]:]
+	}
+	for _, b := range g.Blocks {
+		for _, t := range b.Succs {
+			t.Preds = append(t.Preds, b)
 		}
 	}
 
@@ -201,9 +225,14 @@ func Build(insts []sparc.Inst) (*Graph, error) {
 	return g, nil
 }
 
-func link(from, to *Block) {
-	from.Succs = append(from.Succs, to)
-	to.Preds = append(to.Preds, from)
+// blockStarting returns the index of the block starting at instruction
+// i, or -1 if none does. blocks are in layout order.
+func blockStarting(blocks []*Block, i int) int {
+	bi := sort.Search(len(blocks), func(k int) bool { return blocks[k].Start >= i })
+	if bi < len(blocks) && blocks[bi].Start == i {
+		return bi
+	}
+	return -1
 }
 
 // computeLoopDepth finds DFS back edges from the entry block and marks

@@ -166,8 +166,12 @@ func (c *Cache) getInto(seed uint64, block []sparc.Inst, arena *instArena) ([]sp
 
 func (c *Cache) put(seed uint64, block, out []sparc.Inst) {
 	k := blockHash(seed, block)
-	blockCopy := append([]sparc.Inst(nil), block...)
-	outCopy := append([]sparc.Inst(nil), out...)
+	// One array backs both copies; the block's capacity ends at its
+	// length so the two never overlap.
+	buf := make([]sparc.Inst, len(block)+len(out))
+	copy(buf, block)
+	copy(buf[len(block):], out)
+	blockCopy, outCopy := buf[:len(block):len(block)], buf[len(block):]
 	sh := c.shardOf(k)
 	sh.mu.Lock()
 	if e, ok := sh.entries[k]; ok {

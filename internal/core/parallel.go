@@ -42,6 +42,12 @@ func (s *Scheduler) scheduleBlocksTraced(tr *obs.Trace, parent int32, blocks [][
 		return blocks, nil
 	}
 	out := make([][]sparc.Inst, len(blocks))
+	// A worker's arena holds at most two copies of each block it
+	// schedules: the scheduled body and the block with its CTI back.
+	arenaNeed := 0
+	for _, b := range blocks {
+		arenaNeed += 2 * len(b)
+	}
 	workers := s.opts.workers()
 	if workers > len(blocks) {
 		workers = len(blocks)
@@ -65,6 +71,7 @@ func (s *Scheduler) scheduleBlocksTraced(tr *obs.Trace, parent int32, blocks [][
 			w = s.pool.Get().(*worker)
 			defer s.pool.Put(w)
 		}
+		w.sc.arena.prime(arenaNeed)
 		if agg != nil {
 			w.tt, w.traceID = agg, tr.ID()
 			defer func() {
@@ -95,6 +102,7 @@ func (s *Scheduler) scheduleBlocksTraced(tr *obs.Trace, parent int32, blocks [][
 	runWorker := func() {
 		w := s.pool.Get().(*worker)
 		defer s.pool.Put(w)
+		w.sc.arena.prime(arenaNeed)
 		if agg != nil {
 			w.tt, w.traceID = &phaseTimes{}, tr.ID()
 			defer func() {

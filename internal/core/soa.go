@@ -150,6 +150,15 @@ type instArena struct {
 	buf []sparc.Inst
 }
 
+// prime gives a worker that has never allocated a first chunk of n
+// instructions, or of arenaChunk if that is smaller, so a small batch
+// on a fresh scheduler does not pay for a whole chunk.
+func (a *instArena) prime(n int) {
+	if cap(a.buf) == 0 && n > 0 {
+		a.buf = make([]sparc.Inst, 0, min(n, arenaChunk))
+	}
+}
+
 // take reserves room for n instructions and returns it as an empty
 // slice with capacity n, ready for the append idiom. Appending beyond n
 // falls back to a normal reallocation, leaving the arena intact.

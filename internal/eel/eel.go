@@ -199,14 +199,22 @@ func (ed *Editor) EditCtx(ctx context.Context, tool Instrumenter, opts Options) 
 	// prepended), then schedule the whole batch.
 	span := tr.StartChild("eel.instrument", parent)
 	blocks := make([][]sparc.Inst, len(ed.graph.Blocks))
-	for i, b := range ed.graph.Blocks {
-		block := append([]sparc.Inst(nil), b.Insts...)
-		if tool != nil {
-			if added := tool.Instrument(b); len(added) > 0 {
-				block = append(added, block...)
-			}
+	size := len(ed.insts)
+	if tool != nil {
+		for i, b := range ed.graph.Blocks {
+			blocks[i] = tool.Instrument(b)
+			size += len(blocks[i])
 		}
-		blocks[i] = block
+	}
+	// One array backs every block. Each block's capacity ends where it
+	// does, so an append to one block reallocates it instead of
+	// overwriting the next.
+	buf := make([]sparc.Inst, 0, size)
+	for i, b := range ed.graph.Blocks {
+		start := len(buf)
+		buf = append(buf, blocks[i]...)
+		buf = append(buf, b.Insts...)
+		blocks[i] = buf[start:len(buf):len(buf)]
 	}
 	span.End()
 	span = tr.StartChild("eel.schedule", parent)
@@ -230,7 +238,8 @@ func (ed *Editor) EditCtx(ctx context.Context, tool Instrumenter, opts Options) 
 // assemble is the editing back half: lay the blocks out in original block
 // order, retarget every CTI through the new block-leader positions,
 // encode the text, and remap the entry point and text symbols. It returns
-// the layout map from old block start index to new text index.
+// the layout map: the new text index of the block starting at each old
+// instruction index, -1 where no block starts.
 //
 // Blocks whose index is set in replaced carry a self-contained rewrite —
 // a software-pipelined loop, say — whose CTIs target within the
@@ -241,11 +250,18 @@ func (ed *Editor) EditCtx(ctx context.Context, tool Instrumenter, opts Options) 
 // the block land on the replacement's first instruction, and the
 // replacement's last instruction falls through to the block that always
 // followed.
-func (ed *Editor) assemble(out *exe.Exe, blocks [][]sparc.Inst, replaced map[int]bool) (map[int]int, error) {
+func (ed *Editor) assemble(out *exe.Exe, blocks [][]sparc.Inst, replaced map[int]bool) ([]int, error) {
 	// Pass 1b: lay the blocks out, recording the new start index of every
 	// old block leader.
-	newStart := make(map[int]int, len(ed.graph.Blocks))
-	var newInsts []sparc.Inst
+	newStart := make([]int, len(ed.insts))
+	for i := range newStart {
+		newStart[i] = -1
+	}
+	size := 0
+	for _, block := range blocks {
+		size += len(block)
+	}
+	newInsts := make([]sparc.Inst, 0, size)
 	// ctiAt maps the position of each emitted CTI to its owning old block.
 	type pendingCTI struct {
 		newIndex int
@@ -285,11 +301,10 @@ func (ed *Editor) assemble(out *exe.Exe, blocks [][]sparc.Inst, replaced map[int
 		switch inst.Op {
 		case sparc.OpBicc, sparc.OpFBfcc, sparc.OpCall:
 			oldTarget := p.oldIndex + int(inst.Disp)
-			nt, ok := newStart[oldTarget]
-			if !ok {
+			if oldTarget < 0 || oldTarget >= len(newStart) || newStart[oldTarget] < 0 {
 				return nil, fmt.Errorf("eel: CTI target %d is not a block leader", oldTarget)
 			}
-			inst.Disp = int32(nt - p.newIndex)
+			inst.Disp = int32(newStart[oldTarget] - p.newIndex)
 		case sparc.OpJmpl:
 			// Indirect: return addresses are produced at run time by the
 			// edited call instructions, so nothing to do.
@@ -313,11 +328,10 @@ func (ed *Editor) assemble(out *exe.Exe, blocks [][]sparc.Inst, replaced map[int
 		if err != nil {
 			return 0, err
 		}
-		ni, ok := newStart[idx]
-		if !ok {
+		if newStart[idx] < 0 {
 			return 0, fmt.Errorf("eel: address %#x is not a block leader", addr)
 		}
-		return out.TextBase + uint32(ni)*exe.WordSize, nil
+		return out.TextBase + uint32(newStart[idx])*exe.WordSize, nil
 	}
 	entry, err := remap(ed.exe.Entry)
 	if err != nil {

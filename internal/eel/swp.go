@@ -152,7 +152,7 @@ func (ed *Editor) PipelineLoops(opts PipelineOptions) (*PipelineResult, error) {
 
 	sched := ed.schedulerFor(opts.Machine, opts.Sched)
 	accepted := make(map[int][]sparc.Inst)
-	var starts map[int]int // layout of the incumbent splice
+	var starts []int // layout of the incumbent splice
 	for _, c := range cands {
 		r := &res.Loops[c.report]
 		b := c.loop.Header
@@ -325,8 +325,8 @@ func (ed *Editor) analyzeCandidate(l *cfg.Loop) (trip int, reason string) {
 // splice rebuilds the executable with the given block replacements
 // (block index -> instruction sequence) and every other block unchanged.
 // It returns the new image and the layout map from old block start index
-// to new text index.
-func (ed *Editor) splice(repl map[int][]sparc.Inst) (*exe.Exe, map[int]int, error) {
+// to new text index (assemble).
+func (ed *Editor) splice(repl map[int][]sparc.Inst) (*exe.Exe, []int, error) {
 	out := &exe.Exe{
 		Entry:    ed.exe.Entry,
 		TextBase: ed.exe.TextBase,

@@ -31,9 +31,10 @@ type SlowProfiler struct {
 	DisablePlacementOpt bool
 
 	counterBase uint32
-	counterOf   map[int]int // block index -> counter slot
-	derivedFrom map[int]int // skipped block -> donor block
-	graph       *cfg.Graph
+	// slot[b] resolves block b's count: b's own counter when slot[b] >= 0,
+	// otherwise the donor counter ^slot[b] that b's count is derived from.
+	// nil until Setup.
+	slot        []int32
 	numCounters int
 }
 
@@ -41,60 +42,10 @@ var _ eel.Instrumenter = (*SlowProfiler)(nil)
 
 // Setup chooses which blocks to instrument and allocates one zeroed
 // 32-bit counter per instrumented block at the end of the data segment.
+// The control-flow graph is read, never written: every edit of a shared
+// editor sees the same graph.
 func (p *SlowProfiler) Setup(ed *eel.Editor) error {
-	g := ed.Graph()
-	p.graph = g
-	p.counterOf = make(map[int]int)
-	p.derivedFrom = make(map[int]int)
-
-	instrumented := make([]bool, len(g.Blocks))
-	for i := range instrumented {
-		instrumented[i] = true
-	}
-	if !p.DisablePlacementOpt {
-		for _, b := range g.Blocks {
-			// Edges are deduplicated: a conditional branch whose target is
-			// its own fallthrough contributes one logical edge.
-			preds := uniqueBlocks(b.Preds)
-			// Single instrumented single-exit predecessor: the
-			// predecessor's counter counts this block too.
-			if len(preds) == 1 {
-				pred := preds[0]
-				if pred != b && len(uniqueBlocks(pred.Succs)) == 1 && instrumented[pred.Index] {
-					instrumented[b.Index] = false
-					p.derivedFrom[b.Index] = pred.Index
-					continue
-				}
-			}
-			// Single instrumented single-entry successor.
-			succs := uniqueBlocks(b.Succs)
-			if len(succs) == 1 {
-				succ := succs[0]
-				if succ != b && len(uniqueBlocks(succ.Preds)) == 1 && instrumented[succ.Index] {
-					instrumented[b.Index] = false
-					p.derivedFrom[b.Index] = succ.Index
-				}
-			}
-		}
-	}
-
-	// Break donor cycles (possible in unreachable block pairs): any block
-	// whose donor chain never reaches an instrumented block is
-	// re-instrumented.
-	for _, b := range g.Blocks {
-		idx := b.Index
-		steps := 0
-		for !instrumented[idx] {
-			next, ok := p.derivedFrom[idx]
-			if !ok || steps > len(g.Blocks) {
-				instrumented[b.Index] = true
-				delete(p.derivedFrom, b.Index)
-				break
-			}
-			idx = next
-			steps++
-		}
-	}
+	p.place(ed.Graph())
 
 	x := ed.Exe()
 	// Counters live past the initialized data, 4-byte aligned.
@@ -105,15 +56,95 @@ func (p *SlowProfiler) Setup(ed *eel.Editor) error {
 		base += pad
 	}
 	p.counterBase = base
-	for _, b := range g.Blocks {
-		if instrumented[b.Index] {
-			p.counterOf[b.Index] = p.numCounters
-			p.numCounters++
-		}
-	}
 	x.Data = append(x.Data, make([]byte, 4*p.numCounters)...)
 	x.AddSymbol("__qpt_counters", base, false)
 	return nil
+}
+
+// place picks the instrumented blocks of g, numbers their counters in
+// block order, and resolves every skipped block to the counter its count
+// is read from. It runs in time linear in the blocks and edges of g.
+func (p *SlowProfiler) place(g *cfg.Graph) {
+	n := len(g.Blocks)
+	// root[b] == b: b keeps its own counter. root[b] == -1: b's count is
+	// derived from donor[b], not yet resolved. Otherwise root[b] is the
+	// instrumented block at the end of b's donor chain.
+	root := make([]int32, n)
+	donor := make([]int32, n)
+	for i := range root {
+		root[i] = int32(i)
+	}
+	if !p.DisablePlacementOpt {
+		for _, b := range g.Blocks {
+			// Edges are deduplicated: a conditional branch whose target is
+			// its own fallthrough contributes one logical edge.
+			//
+			// Single instrumented single-exit predecessor: the
+			// predecessor's counter counts this block too.
+			if pred := sole(b.Preds); pred != nil && pred != b &&
+				sole(pred.Succs) != nil && root[pred.Index] == int32(pred.Index) {
+				root[b.Index], donor[b.Index] = -1, int32(pred.Index)
+				continue
+			}
+			// Single instrumented single-entry successor.
+			if succ := sole(b.Succs); succ != nil && succ != b &&
+				sole(succ.Preds) != nil && root[succ.Index] == int32(succ.Index) {
+				root[b.Index], donor[b.Index] = -1, int32(succ.Index)
+			}
+		}
+	}
+	resolveDonors(root, donor)
+
+	// Number the counters in block order (donor is free for reuse), then
+	// turn root into the slot encoding.
+	counter := donor
+	p.numCounters = 0
+	for b, r := range root {
+		if r == int32(b) {
+			counter[b] = int32(p.numCounters)
+			p.numCounters++
+		}
+	}
+	for b, r := range root {
+		if r == int32(b) {
+			root[b] = counter[b]
+		} else {
+			root[b] = ^counter[r]
+		}
+	}
+	p.slot = root
+}
+
+// resolveDonors points every derived block (root -1) at the instrumented
+// block its donor chain ends on. If a chain ends in a donor cycle
+// instead, the first block in block order whose chain enters that cycle
+// gets its own counter back. Placement derives a block only from a donor
+// that still has its counter and never gives a derived block its counter
+// back, so it makes no cycles; the check guards that invariant.
+//
+// Each chain is walked once. A resolved root is memoised for good, since
+// a block that keeps its counter never loses it, and a per-walk stamp
+// spots a cycle when a walk meets a block it has already visited.
+func resolveDonors(root, donor []int32) {
+	seen := make([]int32, len(root)) // b+1 once the walk from block b passed by
+	for b := range root {
+		if root[b] >= 0 {
+			continue
+		}
+		stamp := int32(b) + 1
+		x := int32(b)
+		for root[x] < 0 && seen[x] != stamp {
+			seen[x] = stamp
+			x = donor[x]
+		}
+		if root[x] < 0 {
+			root[b] = int32(b)
+			continue
+		}
+		for y, r := int32(b), root[x]; root[y] < 0; y = donor[y] {
+			root[y] = r
+		}
+	}
 }
 
 // CounterBase returns the address of the first counter.
@@ -124,8 +155,7 @@ func (p *SlowProfiler) NumCounters() int { return p.numCounters }
 
 // Instrumented reports whether block b received a counter.
 func (p *SlowProfiler) Instrumented(b int) bool {
-	_, ok := p.counterOf[b]
-	return ok
+	return b >= 0 && b < len(p.slot) && p.slot[b] >= 0
 }
 
 // Instrument returns the slow-profiling sequence for a block:
@@ -138,8 +168,8 @@ func (p *SlowProfiler) Instrumented(b int) bool {
 // Every instruction is marked Instrumented so the scheduler applies the
 // paper's relaxed memory-aliasing rule.
 func (p *SlowProfiler) Instrument(b *cfg.Block) []sparc.Inst {
-	slot, ok := p.counterOf[b.Index]
-	if !ok {
+	slot := p.slot[b.Index]
+	if slot < 0 {
 		return nil
 	}
 	addr := p.counterBase + uint32(4*slot)
@@ -159,30 +189,18 @@ func (p *SlowProfiler) Instrument(b *cfg.Block) []sparc.Inst {
 
 // Counts reconstructs per-block execution counts from the counter memory
 // of a finished run. mem must expose the edited executable's data segment
-// (read32 returns the word at an absolute address). Skipped blocks resolve
-// through their donor block, following chains.
+// (read32 returns the word at an absolute address). A skipped block reads
+// the counter at the end of its donor chain.
 func (p *SlowProfiler) Counts(read32 func(addr uint32) uint32) (map[int]uint64, error) {
-	if p.graph == nil {
+	if p.slot == nil {
 		return nil, fmt.Errorf("qpt: Counts before Setup")
 	}
-	out := make(map[int]uint64, len(p.graph.Blocks))
-	for _, b := range p.graph.Blocks {
-		idx := b.Index
-		seen := 0
-		for {
-			if slot, ok := p.counterOf[idx]; ok {
-				out[b.Index] = uint64(read32(p.counterBase + uint32(4*slot)))
-				break
-			}
-			donor, ok := p.derivedFrom[idx]
-			if !ok {
-				return nil, fmt.Errorf("qpt: block %d has no counter and no donor", idx)
-			}
-			idx = donor
-			if seen++; seen > len(p.graph.Blocks) {
-				return nil, fmt.Errorf("qpt: donor cycle at block %d", b.Index)
-			}
+	out := make(map[int]uint64, len(p.slot))
+	for b, slot := range p.slot {
+		if slot < 0 {
+			slot = ^slot
 		}
+		out[b] = uint64(read32(p.counterBase + uint32(4*slot)))
 	}
 	return out, nil
 }
@@ -201,20 +219,17 @@ func ReadCounterData(data []byte, dataBase, counterBase uint32, n int) ([]uint32
 	return out, nil
 }
 
-// uniqueBlocks deduplicates an edge list in place-order.
-func uniqueBlocks(bs []*cfg.Block) []*cfg.Block {
-	out := bs[:0:0]
-	for _, b := range bs {
-		dup := false
-		for _, o := range out {
-			if o == b {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, b)
+// sole returns the one distinct block in an edge list, or nil when the
+// list is empty or names two blocks. It never writes to the list: the
+// graph is shared by concurrent edits.
+func sole(bs []*cfg.Block) *cfg.Block {
+	if len(bs) == 0 {
+		return nil
+	}
+	for _, b := range bs[1:] {
+		if b != bs[0] {
+			return nil
 		}
 	}
-	return out
+	return bs[0]
 }

@@ -1,8 +1,12 @@
 package qpt
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
+	"eel/internal/cfg"
 	"eel/internal/eel"
 	"eel/internal/exe"
 	"eel/internal/sim"
@@ -265,4 +269,351 @@ loop:
 	if !prof.Instrumented(loopBlock) {
 		t.Error("self-loop block lost its counter")
 	}
+}
+
+// refPlacement is the map-based counter placement SlowProfiler used
+// before placement became linear, kept as the oracle that the linear
+// version must match block for block.
+type refPlacement struct {
+	DisablePlacementOpt bool
+
+	counterOf   map[int]int // block index -> counter slot
+	derivedFrom map[int]int // skipped block -> donor block
+	graph       *cfg.Graph
+	numCounters int
+}
+
+// referenceSetup is the old Setup's placement, verbatim but for the
+// data-segment allocation, which both implementations share.
+func (p *refPlacement) referenceSetup(g *cfg.Graph) {
+	p.graph = g
+	p.counterOf = make(map[int]int)
+	p.derivedFrom = make(map[int]int)
+
+	instrumented := make([]bool, len(g.Blocks))
+	for i := range instrumented {
+		instrumented[i] = true
+	}
+	if !p.DisablePlacementOpt {
+		for _, b := range g.Blocks {
+			// Edges are deduplicated: a conditional branch whose target is
+			// its own fallthrough contributes one logical edge.
+			preds := uniqueBlocks(b.Preds)
+			// Single instrumented single-exit predecessor: the
+			// predecessor's counter counts this block too.
+			if len(preds) == 1 {
+				pred := preds[0]
+				if pred != b && len(uniqueBlocks(pred.Succs)) == 1 && instrumented[pred.Index] {
+					instrumented[b.Index] = false
+					p.derivedFrom[b.Index] = pred.Index
+					continue
+				}
+			}
+			// Single instrumented single-entry successor.
+			succs := uniqueBlocks(b.Succs)
+			if len(succs) == 1 {
+				succ := succs[0]
+				if succ != b && len(uniqueBlocks(succ.Preds)) == 1 && instrumented[succ.Index] {
+					instrumented[b.Index] = false
+					p.derivedFrom[b.Index] = succ.Index
+				}
+			}
+		}
+	}
+
+	// Break donor cycles (possible in unreachable block pairs): any block
+	// whose donor chain never reaches an instrumented block is
+	// re-instrumented.
+	for _, b := range g.Blocks {
+		idx := b.Index
+		steps := 0
+		for !instrumented[idx] {
+			next, ok := p.derivedFrom[idx]
+			if !ok || steps > len(g.Blocks) {
+				instrumented[b.Index] = true
+				delete(p.derivedFrom, b.Index)
+				break
+			}
+			idx = next
+			steps++
+		}
+	}
+
+	for _, b := range g.Blocks {
+		if instrumented[b.Index] {
+			p.counterOf[b.Index] = p.numCounters
+			p.numCounters++
+		}
+	}
+}
+
+// counts is the old Counts: skipped blocks resolve through their donor
+// block, following chains.
+func (p *refPlacement) counts(counterBase uint32, read32 func(addr uint32) uint32) (map[int]uint64, error) {
+	out := make(map[int]uint64, len(p.graph.Blocks))
+	for _, b := range p.graph.Blocks {
+		idx := b.Index
+		seen := 0
+		for {
+			if slot, ok := p.counterOf[idx]; ok {
+				out[b.Index] = uint64(read32(counterBase + uint32(4*slot)))
+				break
+			}
+			donor, ok := p.derivedFrom[idx]
+			if !ok {
+				return nil, fmt.Errorf("qpt: block %d has no counter and no donor", idx)
+			}
+			idx = donor
+			if seen++; seen > len(p.graph.Blocks) {
+				return nil, fmt.Errorf("qpt: donor cycle at block %d", b.Index)
+			}
+		}
+	}
+	return out, nil
+}
+
+// uniqueBlocks deduplicates an edge list in place-order.
+func uniqueBlocks(bs []*cfg.Block) []*cfg.Block {
+	out := bs[:0:0]
+	for _, b := range bs {
+		dup := false
+		for _, o := range out {
+			if o == b {
+				dup = true
+				break
+			}
+		}
+		if !dup {
+			out = append(out, b)
+		}
+	}
+	return out
+}
+
+// placementsAgree requires the linear placement of g to match the
+// reference: the same instrumented blocks, the same counter slots, and
+// the same Counts for counter memory where every word differs.
+func placementsAgree(t *testing.T, g *cfg.Graph, disableOpt bool) *SlowProfiler {
+	t.Helper()
+	ref := &refPlacement{DisablePlacementOpt: disableOpt}
+	ref.referenceSetup(g)
+	p := &SlowProfiler{DisablePlacementOpt: disableOpt}
+	p.place(g)
+	if p.NumCounters() != ref.numCounters {
+		t.Fatalf("%d counters, reference %d", p.NumCounters(), ref.numCounters)
+	}
+	for _, b := range g.Blocks {
+		slot, ok := ref.counterOf[b.Index]
+		if p.Instrumented(b.Index) != ok {
+			t.Fatalf("block %d: instrumented %v, reference %v", b.Index, p.Instrumented(b.Index), ok)
+		}
+		if ok && int(p.slot[b.Index]) != slot {
+			t.Fatalf("block %d: slot %d, reference %d", b.Index, p.slot[b.Index], slot)
+		}
+	}
+	read32 := func(addr uint32) uint32 { return addr*2654435761 + 7 }
+	got, err := p.Counts(read32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.counts(0, read32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d counts, reference %d", len(got), len(want))
+	}
+	for b, w := range want {
+		if got[b] != w {
+			t.Fatalf("block %d: count %d, reference %d", b, got[b], w)
+		}
+	}
+	return p
+}
+
+// newGraph returns a graph of n edgeless blocks.
+func newGraph(n int) *cfg.Graph {
+	g := &cfg.Graph{Blocks: make([]*cfg.Block, n)}
+	for i := range g.Blocks {
+		g.Blocks[i] = &cfg.Block{Index: i}
+	}
+	return g
+}
+
+func link(g *cfg.Graph, from, to int) {
+	f, t := g.Blocks[from], g.Blocks[to]
+	f.Succs = append(f.Succs, t)
+	t.Preds = append(t.Preds, f)
+}
+
+// randomGraph builds a control-flow graph with the shapes that stress
+// counter placement: random edges (self-loops and duplicate edges
+// included), a SESE chain, and unreachable 2-cycles.
+func randomGraph(rng *rand.Rand, n, chain, cycles int) *cfg.Graph {
+	g := newGraph(n + chain + 2*cycles)
+	for e := rng.Intn(2 * n); e > 0; e-- {
+		from, to := rng.Intn(n), rng.Intn(n)
+		link(g, from, to)
+		if rng.Intn(4) == 0 {
+			link(g, from, to)
+		}
+	}
+	// The chain hangs off a random block and may rejoin the body.
+	if chain > 0 {
+		link(g, rng.Intn(n), n)
+		for i := n; i < n+chain-1; i++ {
+			link(g, i, i+1)
+		}
+		if rng.Intn(2) == 0 {
+			link(g, n+chain-1, rng.Intn(n))
+		}
+	}
+	for c := 0; c < cycles; c++ {
+		a := n + chain + 2*c
+		link(g, a, a+1)
+		link(g, a+1, a)
+	}
+	return g
+}
+
+// FuzzCounterPlacement differentially checks the linear placement
+// against the reference on random graphs, with the optimisation on and
+// off.
+func FuzzCounterPlacement(f *testing.F) {
+	f.Add(int64(1), 8, 0, 1)
+	f.Add(int64(2), 1, 40, 0)
+	f.Add(int64(3), 30, 5, 3)
+	f.Add(int64(4), 64, 200, 2)
+	f.Fuzz(func(t *testing.T, seed int64, n, chain, cycles int) {
+		if n < 1 || n > 256 || chain < 0 || chain > 512 || cycles < 0 || cycles > 8 {
+			return
+		}
+		g := randomGraph(rand.New(rand.NewSource(seed)), n, chain, cycles)
+		placementsAgree(t, g, false)
+		placementsAgree(t, g, true)
+	})
+}
+
+// TestLongSESEChain: on a chain every block defers to its successor, so
+// the last block's one counter counts them all. The old walk was
+// quadratic here.
+func TestLongSESEChain(t *testing.T) {
+	const n = 100_000
+	g := newGraph(n)
+	for i := 0; i+1 < n; i++ {
+		link(g, i, i+1)
+	}
+	p := &SlowProfiler{}
+	p.place(g)
+	if p.NumCounters() != 1 || !p.Instrumented(n-1) {
+		t.Fatalf("%d counters (last block instrumented: %v), want only the last block's",
+			p.NumCounters(), p.Instrumented(n-1))
+	}
+	counts, err := p.Counts(func(uint32) uint32 { return 42 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b, c := range counts {
+		if c != 42 {
+			t.Fatalf("block %d: count %d, want the shared counter's 42", b, c)
+		}
+	}
+	// A shorter chain against the reference, which is quadratic.
+	g = newGraph(2000)
+	for i := 0; i+1 < 2000; i++ {
+		link(g, i, i+1)
+	}
+	placementsAgree(t, g, false)
+}
+
+// TestResolveDonorsBreaksCycles: placement itself never makes a donor
+// cycle, so the guard is driven directly. A block on or leading into a
+// cycle gets its counter back in block order, as in the old walk.
+func TestResolveDonorsBreaksCycles(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		donor []int32 // -1: the block keeps its counter
+		want  []int32 // the root each block resolves to
+	}{
+		{"2-cycle", []int32{1, 0}, []int32{0, 0}},
+		{"tail into cycle", []int32{1, 2, 3, 2}, []int32{0, 1, 2, 2}},
+		{"cycle then tail", []int32{1, 0, 0, 2, -1}, []int32{0, 0, 0, 0, 4}},
+		{"chain to counter", []int32{1, 2, 3, -1}, []int32{3, 3, 3, 3}},
+	} {
+		root := make([]int32, len(tc.donor))
+		for b, d := range tc.donor {
+			root[b] = -1
+			if d < 0 {
+				root[b] = int32(b)
+			}
+		}
+		resolveDonors(root, append([]int32(nil), tc.donor...))
+		for b := range root {
+			if root[b] != tc.want[b] {
+				t.Errorf("%s: block %d resolves to %d, want %d", tc.name, b, root[b], tc.want[b])
+			}
+		}
+		if got, want := root, walkRoots(tc.donor); !slices.Equal(got, want) {
+			t.Errorf("%s: roots %v, step-bounded walk %v", tc.name, got, want)
+		}
+	}
+}
+
+// TestResolveDonorsMatchesWalk compares the memoised walk with the old
+// step-bounded one on random donor functions, cycles and all.
+func TestResolveDonorsMatchesWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for iter := 0; iter < 2000; iter++ {
+		n := 1 + rng.Intn(40)
+		donor := make([]int32, n)
+		root := make([]int32, n)
+		for b := range donor {
+			donor[b], root[b] = int32(rng.Intn(n)), -1
+			if rng.Intn(3) == 0 {
+				donor[b], root[b] = -1, int32(b)
+			}
+		}
+		want := walkRoots(donor)
+		resolveDonors(root, append([]int32(nil), donor...))
+		if !slices.Equal(root, want) {
+			t.Fatalf("donors %v: roots %v, step-bounded walk %v", donor, root, want)
+		}
+	}
+}
+
+// walkRoots runs the old cycle-breaking walk over a donor function (-1:
+// the block keeps its counter) and reports each block's root.
+func walkRoots(donor []int32) []int32 {
+	instrumented := make([]bool, len(donor))
+	derivedFrom := make(map[int]int)
+	for b, d := range donor {
+		if d < 0 {
+			instrumented[b] = true
+		} else {
+			derivedFrom[b] = int(d)
+		}
+	}
+	for b := range donor {
+		idx := b
+		steps := 0
+		for !instrumented[idx] {
+			next, ok := derivedFrom[idx]
+			if !ok || steps > len(donor) {
+				instrumented[b] = true
+				delete(derivedFrom, b)
+				break
+			}
+			idx = next
+			steps++
+		}
+	}
+	roots := make([]int32, len(donor))
+	for b := range donor {
+		idx := b
+		for !instrumented[idx] {
+			idx = derivedFrom[idx]
+		}
+		roots[b] = int32(idx)
+	}
+	return roots
 }

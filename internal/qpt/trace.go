@@ -131,6 +131,3 @@ func (t *BlockTracer) Trace(read32 func(addr uint32) uint32) ([]int, error) {
 	}
 	return out, nil
 }
-
-// WrapMask is exported for tests: the cursor wrap mask in bytes.
-func (t *BlockTracer) WrapMask() int { return 4*t.Entries - 1 }

@@ -19,9 +19,10 @@ import (
 // hardware rules and armed with a single heuristic, partially undoes this
 // work: the paper's Table 1 de-scheduling effect.
 type compilerScheduler struct {
-	model      *spawn.Model
-	rules      sim.Rules
 	candidates []*core.Scheduler
+	// pricer measures every priced block, Reset in between; one
+	// compilerScheduler serves one Generate call, so it is never shared.
+	pricer *sim.HWPipeline
 }
 
 func newCompilerScheduler(model *spawn.Model, rules sim.Rules) *compilerScheduler {
@@ -29,12 +30,11 @@ func newCompilerScheduler(model *spawn.Model, rules sim.Rules) *compilerSchedule
 		return core.NewWith(sim.NewHWPipeline(model, rules), model, opts)
 	}
 	return &compilerScheduler{
-		model: model,
-		rules: rules,
 		candidates: []*core.Scheduler{
 			mk(core.Options{}),
 			mk(core.Options{ChainFirst: true}),
 		},
+		pricer: sim.NewHWPipeline(model, rules),
 	}
 }
 
@@ -78,13 +78,13 @@ func (c *compilerScheduler) scheduleBlock(block []sparc.Inst) ([]sparc.Inst, err
 	return best, nil
 }
 
-// cost measures a block on a fresh hardware pipeline: the issue cycle of
-// the last instruction.
+// cost measures a block on a freshly reset hardware pipeline: the issue
+// cycle of the last instruction.
 func (c *compilerScheduler) cost(block []sparc.Inst) (int64, error) {
-	p := sim.NewHWPipeline(c.model, c.rules)
+	c.pricer.Reset()
 	var last int64
 	for _, inst := range block {
-		_, t, err := p.Issue(inst)
+		_, t, err := c.pricer.Issue(inst)
 		if err != nil {
 			return 0, err
 		}

@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"testing"
 
 	"eel/internal/sim"
@@ -208,5 +209,38 @@ func TestMeasureAvgBlockSizeErrors(t *testing.T) {
 	// A tiny cap still yields a measurement.
 	if _, err := MeasureAvgBlockSize(x, 1_000); err != nil {
 		t.Errorf("capped measurement failed: %v", err)
+	}
+}
+
+// TestPricerResetMatchesFresh: the compiler prices every block on one
+// pipeline, Reset in between. That must price exactly as a fresh
+// pipeline per block does, on every machine, CTIs included (a CTI ends
+// a SuperSPARC group, which leaves a fetch floor behind).
+func TestPricerResetMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, m := range spawn.Machines() {
+		model := spawn.MustLoad(m)
+		rules := sim.MachineRules(m)
+		c := newCompilerScheduler(model, rules)
+		for i := 0; i < 500; i++ {
+			block := RandomBlock(rng, 1+rng.Intn(24), rng.Intn(3) == 0)
+			if rng.Intn(2) == 0 {
+				block = append(block, sparc.NewBranch(sparc.CondNE, -4), sparc.NewNop())
+			}
+			got, err := c.cost(block)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh := sim.NewHWPipeline(model, rules)
+			var want int64
+			for _, inst := range block {
+				if _, want, err = fresh.Issue(inst); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got != want {
+				t.Fatalf("%s block %d: reset pipeline prices %d, fresh %d: %v", m, i, got, want, block)
+			}
+		}
 	}
 }
