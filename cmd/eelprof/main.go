@@ -6,7 +6,6 @@
 //	eelprof -reschedule -o prog.sched prog.exe             # reschedule only
 //	eelprof -run prog.exe                                  # run and report
 //	eelprof -workers 8 -o prog.prof prog.exe               # 8 scheduling workers
-//	eelprof -cachestats -o prog.prof prog.exe              # schedule-cache report
 //	eelprof -engine optimal -reschedule -o p.opt prog.exe  # exact B&B schedules
 //	eelprof -metrics run.json -o prog.prof prog.exe        # telemetry export
 //	eelprof -trace traces/ -o prog.prof prog.exe           # decision traces
@@ -24,11 +23,16 @@
 // invocation, the hottest basic blocks.
 //
 // -metrics writes the run's telemetry registry (stall attribution by
-// hazard, cache statistics, and the edit's phase trace as the edit_trace
-// extra) as JSON, or Prometheus text when the path ends in .prom. -trace
-// writes one JSON line per scheduled block into <dir>/sched.jsonl for
-// cmd/schedtrace. -pprof serves net/http/pprof on the given address for
-// the life of the process.
+// hazard, the optimal engine's counters, and the edit's phase trace as
+// the edit_trace extra) as JSON, or Prometheus text when the path ends
+// in .prom. -trace writes one JSON line per scheduled block into
+// <dir>/sched.jsonl for cmd/schedtrace. -pprof serves net/http/pprof on
+// the given address for the life of the process.
+//
+// eelprof opens its input with eel.Open, which schedules without a
+// cache: a single edit meets each block once. Repeated editing with a
+// shared, inspectable schedule cache goes through eel.OpenShared (as
+// cmd/eeld does).
 package main
 
 import (
@@ -72,7 +76,6 @@ func run() error {
 		workers    = flag.Int("workers", 0, "scheduling worker pool size (0 = GOMAXPROCS)")
 		oracleName = flag.String("oracle", "fast", "stall oracle: fast (compiled tables) or reference (map-based ground truth)")
 		engineName = flag.String("engine", "fast", "scheduling engine: fast (arena/priority-queue), reference (pairwise rescan), or optimal (branch-and-bound exact)")
-		cacheStats = flag.Bool("cachestats", false, "report schedule-cache statistics after editing")
 		metricsOut = flag.String("metrics", "", "write telemetry to this file (JSON, or Prometheus text for .prom)")
 		traceDir   = flag.String("trace", "", "write per-block scheduling decision traces into this directory")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060)")
@@ -110,12 +113,6 @@ func run() error {
 		reg.SetManifest("oracle", oracle.String())
 		reg.SetManifest("engine", engine.String())
 		reg.SetManifest("workers", strconv.Itoa(*workers))
-	}
-	// The optimal engine withholds unproven schedules from the cache;
-	// -cachestats reports those bypasses, which needs a registry even
-	// when -metrics is off.
-	if *cacheStats && engine == core.EngineOptimal && reg == nil {
-		reg = obs.NewRegistry()
 	}
 	var trace core.TraceSink
 	if *traceDir != "" {
@@ -186,14 +183,10 @@ func run() error {
 	}
 	if err != nil {
 		// A failed edit still leaves observable state behind: the blocks
-		// scheduled before the failure sit in the cache and the registry.
-		// Report both, marked incomplete, and keep the error — and the
-		// non-zero exit — intact.
-		if *cacheStats {
-			reportCacheStats(ed.Cache(), true)
-			reportOptimalCacheStats(engine, reg, true)
-		}
-		if reg != nil && *metricsOut != "" {
+		// scheduled before the failure sit in the registry. Export it,
+		// marked incomplete, and keep the error — and the non-zero exit —
+		// intact.
+		if reg != nil {
 			reg.SetManifest("incomplete", "true")
 			if werr := reg.WriteFile(*metricsOut); werr != nil {
 				fmt.Fprintln(os.Stderr, "eelprof: metrics:", werr)
@@ -202,11 +195,7 @@ func run() error {
 		return err
 	}
 
-	if *cacheStats {
-		reportCacheStats(ed.Cache(), false)
-		reportOptimalCacheStats(engine, reg, false)
-	}
-	if reg != nil && *metricsOut != "" {
+	if reg != nil {
 		if err := reg.WriteFile(*metricsOut); err != nil {
 			return err
 		}
@@ -234,20 +223,8 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		type bc struct {
-			block int
-			n     uint64
-		}
-		var hot []bc
-		for b, n := range counts {
-			hot = append(hot, bc{b, n})
-		}
-		sort.Slice(hot, func(i, j int) bool { return hot[i].n > hot[j].n })
 		fmt.Println("hottest blocks:")
-		for i, h := range hot {
-			if i == 10 {
-				break
-			}
+		for _, h := range hottest(counts, 10) {
 			fmt.Printf("  block %4d: %12d executions\n", h.block, h.n)
 		}
 	}
@@ -257,55 +234,28 @@ func run() error {
 	return nil
 }
 
-// reportCacheStats prints the schedule cache's effectiveness: aggregate
-// hit rate, occupancy against capacity, and how evenly the key space
-// spread over the lock shards (max/mean shard occupancy). incomplete
-// marks a report cut short by a failed edit: the numbers are the state
-// at the failure, not a full run's.
-func reportCacheStats(c *core.Cache, incomplete bool) {
-	hits, misses := c.Stats()
-	total := hits + misses
-	rate := 0.0
-	if total > 0 {
-		rate = 100 * float64(hits) / float64(total)
-	}
-	shards := c.ShardStats()
-	maxLen, used := 0, 0
-	for _, sh := range shards {
-		if sh.Len > maxLen {
-			maxLen = sh.Len
-		}
-		if sh.Len > 0 {
-			used++
-		}
-	}
-	mean := float64(c.Len()) / float64(len(shards))
-	marker := ""
-	if incomplete {
-		marker = " (incomplete)"
-	}
-	fmt.Fprintf(os.Stderr,
-		"eelprof: schedule cache%s: %d/%d blocks, %d hits / %d misses (%.1f%% hit rate), %d/%d shards occupied (max %d, mean %.1f entries)\n",
-		marker, c.Len(), c.Capacity(), hits, misses, rate, used, len(shards), maxLen, mean)
+// blockCount is one block's execution count.
+type blockCount struct {
+	block int
+	n     uint64
 }
 
-// reportOptimalCacheStats extends the -cachestats report for the exact
-// engine: a schedule whose search ran out of budget carries no
-// optimality certificate and is never inserted into the cache, so the
-// bypass count explains occupancy gaps the plain cache report can't.
-func reportOptimalCacheStats(engine core.Engine, reg *obs.Registry, incomplete bool) {
-	if engine != core.EngineOptimal || reg == nil {
-		return
+// hottest returns at most k blocks by descending execution count, ties
+// broken by ascending block index, so the report does not depend on map
+// iteration order.
+func hottest(counts map[int]uint64, k int) []blockCount {
+	hot := make([]blockCount, 0, len(counts))
+	for b, n := range counts {
+		hot = append(hot, blockCount{b, n})
 	}
-	c := reg.Counters()
-	marker := ""
-	if incomplete {
-		marker = " (incomplete)"
+	sort.Slice(hot, func(i, j int) bool {
+		if hot[i].n != hot[j].n {
+			return hot[i].n > hot[j].n
+		}
+		return hot[i].block < hot[j].block
+	})
+	if len(hot) > k {
+		hot = hot[:k]
 	}
-	fmt.Fprintf(os.Stderr,
-		"eelprof: optimal engine%s: %d/%d blocks proven optimal, %d improved (%d cycles), %d budget-exhausted, %d unproven schedules bypassed the cache\n",
-		marker,
-		c["core.optimal_proven_total"], c["core.optimal_blocks_total"],
-		c["core.optimal_improved_total"], c["core.optimal_cycles_saved_total"],
-		c["core.optimal_budget_exhausted"], c["core.optimal_cache_bypass_total"])
+	return hot
 }

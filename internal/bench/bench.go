@@ -136,9 +136,9 @@ func measure(meas *sim.Measurer, x *exe.Exe, maxSteps uint64) (int64, float64, *
 //
 // The measurement legs are independent experiments on immutable inputs —
 // the generated original and the opened baseline editor — so they run
-// concurrently: the editor never mutates its executable, edits go through
-// the mutex-sharded scheduling cache, and each simulation owns its
-// interpreter and timing state. Results are deterministic because each
+// concurrently: the editor never mutates its executable, each edit builds
+// its output in private state, and each simulation owns its interpreter
+// and timing state. Results are deterministic because each
 // leg writes distinct fields and errors are checked in a fixed order
 // after the join.
 func runBenchmark(b workload.Benchmark, cfg TableConfig, model *spawn.Model, meas *sim.Measurer) (Row, error) {

@@ -26,20 +26,19 @@ import (
 // Editor holds an opened executable and its analysis.
 //
 // An Editor is safe for concurrent use: the executable, its decoded
-// instructions and its control-flow graph are immutable after Open, the
-// schedule cache is internally sharded and locked, and every Edit call
-// builds its output into private state. Schedulers are memoized per
+// instructions and its control-flow graph are immutable after Open, a
+// shared schedule cache is internally sharded and locked, and every Edit
+// call builds its output into private state. Schedulers are memoized per
 // editing configuration (schedulerFor), so concurrent Edit calls with
-// the same options share one worker pool and one cache instead of paying
-// pool spin-up per call — the shape a long-running service (cmd/eeld)
-// needs.
+// the same options share one worker pool instead of paying pool spin-up
+// per call — the shape a long-running service (cmd/eeld) needs.
 type Editor struct {
 	exe   *exe.Exe
 	insts []sparc.Inst
 	graph *cfg.Graph
-	// cache memoizes per-block schedules across this editor's Edit
-	// passes, so repeated editing of hot blocks skips rescheduling. It
-	// may be shared with other Editors (OpenShared).
+	// cache memoizes per-block schedules across Edit passes of every
+	// Editor sharing it (OpenShared), so re-editing hot blocks skips
+	// rescheduling. nil for Open: a one-shot edit would only fill it.
 	cache *core.Cache
 
 	// schedMu guards scheds, the per-configuration scheduler memo.
@@ -65,19 +64,10 @@ type schedKey struct {
 }
 
 // Open decodes an executable's text segment and builds its control-flow
-// graph. The editor gets a private schedule cache; services sharing one
-// cache across many executables use OpenShared.
+// graph. The editor schedules without a cache: a one-shot edit meets
+// each block once, so memoizing its schedules would cost more than it
+// saves. Repeated editing with a cache goes through OpenShared.
 func Open(x *exe.Exe) (*Editor, error) {
-	return OpenShared(x, core.NewCache(0))
-}
-
-// OpenShared is Open with a caller-supplied schedule cache, so many
-// Editors (one per admitted executable, in cmd/eeld) share one sharded,
-// spillable cache. cache must not be nil.
-func OpenShared(x *exe.Exe, cache *core.Cache) (*Editor, error) {
-	if cache == nil {
-		return nil, fmt.Errorf("eel: OpenShared needs a cache")
-	}
 	if err := x.Validate(); err != nil {
 		return nil, err
 	}
@@ -89,7 +79,23 @@ func OpenShared(x *exe.Exe, cache *core.Cache) (*Editor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("eel: %w", err)
 	}
-	return &Editor{exe: x, insts: insts, graph: graph, cache: cache}, nil
+	return &Editor{exe: x, insts: insts, graph: graph}, nil
+}
+
+// OpenShared is Open with a caller-supplied schedule cache, so many
+// Editors (one per admitted executable, in cmd/eeld) share one sharded,
+// spillable cache, and repeated edits of the same blocks are scheduled
+// once. cache must not be nil.
+func OpenShared(x *exe.Exe, cache *core.Cache) (*Editor, error) {
+	if cache == nil {
+		return nil, fmt.Errorf("eel: OpenShared needs a cache")
+	}
+	ed, err := Open(x)
+	if err != nil {
+		return nil, err
+	}
+	ed.cache = cache
+	return ed, nil
 }
 
 // Exe returns the opened executable.
@@ -100,11 +106,6 @@ func (ed *Editor) Graph() *cfg.Graph { return ed.graph }
 
 // Insts returns the decoded text segment.
 func (ed *Editor) Insts() []sparc.Inst { return ed.insts }
-
-// Cache returns the editor's schedule cache, shared by every Edit pass
-// that does not override Options.Sched.Cache. Callers inspect it for
-// effectiveness reporting (hit/miss counts, shard occupancy).
-func (ed *Editor) Cache() *core.Cache { return ed.cache }
 
 // Instrumenter is a tool that selects and places instrumentation (the
 // "Profiling Tool" box in Figure 3). Setup runs once, after analysis, and
@@ -195,7 +196,7 @@ func (ed *Editor) EditCtx(ctx context.Context, tool Instrumenter, opts Options) 
 		}
 	}
 
-	// Pass 1a: rebuild each block's instruction sequence (instrumentation
+	// Rebuild each block's instruction sequence (instrumentation
 	// prepended), then schedule the whole batch.
 	span := tr.StartChild("eel.instrument", parent)
 	blocks := make([][]sparc.Inst, len(ed.graph.Blocks))
@@ -251,26 +252,16 @@ func (ed *Editor) EditCtx(ctx context.Context, tool Instrumenter, opts Options) 
 // replacement's last instruction falls through to the block that always
 // followed.
 func (ed *Editor) assemble(out *exe.Exe, blocks [][]sparc.Inst, replaced map[int]bool) ([]int, error) {
-	// Pass 1b: lay the blocks out, recording the new start index of every
-	// old block leader.
+	// Pass 1: lay the blocks out, recording the new start index of every
+	// old block leader, and check that each edited block still ends in
+	// its CTI and delay slot.
 	newStart := make([]int, len(ed.insts))
 	for i := range newStart {
 		newStart[i] = -1
 	}
 	size := 0
-	for _, block := range blocks {
-		size += len(block)
-	}
-	newInsts := make([]sparc.Inst, 0, size)
-	// ctiAt maps the position of each emitted CTI to its owning old block.
-	type pendingCTI struct {
-		newIndex int
-		oldIndex int // old index of the CTI instruction
-	}
-	var pending []pendingCTI
-
 	for i, b := range ed.graph.Blocks {
-		newStart[b.Start] = len(newInsts)
+		newStart[b.Start] = size
 		block := blocks[i]
 		if b.HasCTI && !replaced[i] {
 			// Locate the CTI in the (possibly reordered, possibly
@@ -287,38 +278,34 @@ func (ed *Editor) assemble(out *exe.Exe, blocks [][]sparc.Inst, replaced map[int
 			if pos < 0 || pos != len(block)-2 {
 				return nil, fmt.Errorf("eel: block %d CTI not in terminal position", b.Index)
 			}
-			pending = append(pending, pendingCTI{
-				newIndex: len(newInsts) + pos,
-				oldIndex: b.End - 2,
-			})
 		}
-		newInsts = append(newInsts, block...)
+		size += len(block)
 	}
 
-	// Pass 2: retarget branches and calls.
-	for _, p := range pending {
-		inst := &newInsts[p.newIndex]
-		switch inst.Op {
-		case sparc.OpBicc, sparc.OpFBfcc, sparc.OpCall:
-			oldTarget := p.oldIndex + int(inst.Disp)
-			if oldTarget < 0 || oldTarget >= len(newStart) || newStart[oldTarget] < 0 {
-				return nil, fmt.Errorf("eel: CTI target %d is not a block leader", oldTarget)
+	// Pass 2: encode every block straight into the text, retargeting its
+	// terminal branch or call through the new block-leader positions.
+	// Indirect jumps (jmpl) need nothing: their return addresses are
+	// produced at run time by the edited call instructions.
+	words := make([]uint32, 0, size)
+	for i, b := range ed.graph.Blocks {
+		cti := -1
+		if b.HasCTI && !replaced[i] {
+			cti = len(blocks[i]) - 2
+		}
+		for j, inst := range blocks[i] {
+			if j == cti && (inst.Op == sparc.OpBicc || inst.Op == sparc.OpFBfcc || inst.Op == sparc.OpCall) {
+				oldTarget := b.End - 2 + int(inst.Disp)
+				if oldTarget < 0 || oldTarget >= len(newStart) || newStart[oldTarget] < 0 {
+					return nil, fmt.Errorf("eel: CTI target %d is not a block leader", oldTarget)
+				}
+				inst.Disp = int32(newStart[oldTarget] - len(words))
 			}
-			inst.Disp = int32(newStart[oldTarget] - p.newIndex)
-		case sparc.OpJmpl:
-			// Indirect: return addresses are produced at run time by the
-			// edited call instructions, so nothing to do.
+			w, err := sparc.Encode(inst)
+			if err != nil {
+				return nil, fmt.Errorf("eel: encoding instruction %d (%v): %w", len(words), inst, err)
+			}
+			words = append(words, w)
 		}
-	}
-
-	// Pass 3: encode.
-	words := make([]uint32, len(newInsts))
-	for i, inst := range newInsts {
-		w, err := sparc.Encode(inst)
-		if err != nil {
-			return nil, fmt.Errorf("eel: encoding instruction %d (%v): %w", i, inst, err)
-		}
-		words[i] = w
 	}
 	out.Text = words
 

@@ -283,3 +283,67 @@ func requireEndedSpans(t *testing.T, tr *obs.Trace, names ...string) {
 		}
 	}
 }
+
+// corruptingScheduler leaves every block in place except those ending in
+// a CTI and its delay slot, which it returns through corrupt (on a copy).
+type corruptingScheduler func(block []sparc.Inst) []sparc.Inst
+
+func (c corruptingScheduler) ScheduleBlocksCtx(ctx context.Context, blocks [][]sparc.Inst) ([][]sparc.Inst, error) {
+	out := make([][]sparc.Inst, len(blocks))
+	for i, b := range blocks {
+		out[i] = b
+		if len(b) >= 2 && b[len(b)-2].IsCTI() {
+			out[i] = c(append([]sparc.Inst(nil), b...))
+		}
+	}
+	return out, nil
+}
+
+// TestEditRejectsCorruptSchedules: a scheduler that breaks a block's
+// control transfer is caught at layout, before any text is encoded.
+// loopProgram's loop block is add, cmp, bne loop, nop.
+func TestEditRejectsCorruptSchedules(t *testing.T) {
+	cases := []struct {
+		name    string
+		corrupt func(block []sparc.Inst) []sparc.Inst
+		want    string
+	}{
+		{"second CTI", func(b []sparc.Inst) []sparc.Inst {
+			return append([]sparc.Inst{b[len(b)-2]}, b...)
+		}, "multiple CTIs after editing"},
+		{"CTI moved to the top", func(b []sparc.Inst) []sparc.Inst {
+			b[0], b[len(b)-2] = b[len(b)-2], b[0]
+			return b
+		}, "CTI not in terminal position"},
+		{"delay slot dropped", func(b []sparc.Inst) []sparc.Inst {
+			return b[:len(b)-1]
+		}, "CTI not in terminal position"},
+		{"CTI dropped", func(b []sparc.Inst) []sparc.Inst {
+			return append(b[:len(b)-2], b[len(b)-1])
+		}, "CTI not in terminal position"},
+		{"target inside a block", func(b []sparc.Inst) []sparc.Inst {
+			b[len(b)-2].Disp++
+			return b
+		}, "CTI target 3 is not a block leader"},
+		{"target outside the text", func(b []sparc.Inst) []sparc.Inst {
+			b[len(b)-2].Disp = 1000
+			return b
+		}, "CTI target 1004 is not a block leader"},
+	}
+	ed, err := eel.Open(buildExe(t, loopProgram))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			out, err := ed.Edit(nil, eel.Options{
+				Machine:   spawn.MustLoad(spawn.UltraSPARC),
+				Schedule:  true,
+				Scheduler: corruptingScheduler(c.corrupt),
+			})
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Edit = %v, %v; want error containing %q", out, err, c.want)
+			}
+		})
+	}
+}

@@ -69,12 +69,12 @@ func TestEditParallelByteIdentical(t *testing.T) {
 	}
 }
 
-// TestEditCachedRepeatIdentical: editing through the same Editor twice
-// (the hot-block cache path) yields byte-identical output, and the
-// program still behaves.
+// TestEditCachedRepeatIdentical: editing through the same OpenShared
+// Editor twice (the second pass served by its schedule cache) yields
+// byte-identical output, and the program still behaves.
 func TestEditCachedRepeatIdentical(t *testing.T) {
 	model := spawn.MustLoad(spawn.UltraSPARC)
-	ed, err := eel.Open(buildExe(t, manyBlocksProgram(40)))
+	ed, err := eel.OpenShared(buildExe(t, manyBlocksProgram(40)), core.NewCache(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"eel/internal/core"
 	"eel/internal/eel"
 	"eel/internal/exe"
 	"eel/internal/spawn"
@@ -26,8 +27,10 @@ const goldenPath = "testdata/edit_sha256.golden"
 // TestEditOutputsGolden pins the bytes of QPT-instrumented, scheduled
 // edits of every suite benchmark on every machine, with and without the
 // counter placement optimisation. Counter placement, the generator and
-// the editor may be rewritten for speed, but never for output; a
-// deliberate output change regenerates the golden with
+// the editor may be rewritten for speed, but never for output. Each edit
+// is also repeated through one OpenShared editor, cold then warm, which
+// must give the bytes eel.Open gives. A deliberate output change
+// regenerates the golden with
 //
 //	go test ./internal/qpt -run TestEditOutputsGolden -update
 func TestEditOutputsGolden(t *testing.T) {
@@ -39,8 +42,9 @@ func TestEditOutputsGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: generate: %v", m, b.Name, err)
 			}
-			opt := editHash(t, x, model, false)
-			full := editHash(t, x, model, true)
+			name := fmt.Sprintf("%s/%s", m, b.Name)
+			opt := editHash(t, name, x, model, false)
+			full := editHash(t, name, x, model, true)
 			lines = append(lines, fmt.Sprintf("%s %s in=%s qpt=%s full=%s",
 				m, b.Name, digest(x.Marshal()), opt, full))
 		}
@@ -70,19 +74,43 @@ func TestEditOutputsGolden(t *testing.T) {
 	}
 }
 
-func editHash(t *testing.T, x *exe.Exe, model *spawn.Model, disableOpt bool) string {
+// editHash digests the QPT-scheduled edit of x through eel.Open, and
+// fails the test unless two edits through one OpenShared editor (a cold
+// then a warm schedule cache) produce the same bytes.
+func editHash(t *testing.T, name string, x *exe.Exe, model *spawn.Model, disableOpt bool) string {
 	t.Helper()
+	edit := func(ed *eel.Editor) string {
+		t.Helper()
+		out, err := ed.Edit(&SlowProfiler{DisablePlacementOpt: disableOpt},
+			eel.Options{Machine: model, Schedule: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return digest(out.Marshal())
+	}
 	ed, err := eel.Open(x)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ed.Close()
-	out, err := ed.Edit(&SlowProfiler{DisablePlacementOpt: disableOpt},
-		eel.Options{Machine: model, Schedule: true})
+	want := edit(ed)
+
+	cache := core.NewCache(0)
+	shared, err := eel.OpenShared(x, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return digest(out.Marshal())
+	defer shared.Close()
+	for _, pass := range []string{"cold", "warm"} {
+		if got := edit(shared); got != want {
+			t.Errorf("%s (placement opt off: %v): %s-cache OpenShared edit %s, eel.Open edit %s",
+				name, disableOpt, pass, got, want)
+		}
+	}
+	if hits, _ := cache.Stats(); hits == 0 {
+		t.Errorf("%s: the warm OpenShared edit never hit the cache", name)
+	}
+	return want
 }
 
 // digest is a 64-bit prefix of the image's SHA-256, enough to pin bytes.

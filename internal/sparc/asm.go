@@ -66,12 +66,6 @@ func (a *Assembler) EmitBranch(cond Cond, label string) {
 	a.Emit(Inst{Op: OpBicc, Cond: cond})
 }
 
-// EmitFBranch appends an FBfcc targeting a label.
-func (a *Assembler) EmitFBranch(cond Cond, label string) {
-	a.fixups[len(a.insts)] = label
-	a.Emit(Inst{Op: OpFBfcc, Cond: cond})
-}
-
 // EmitCall appends a call targeting a label.
 func (a *Assembler) EmitCall(label string) {
 	a.fixups[len(a.insts)] = label
