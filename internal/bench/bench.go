@@ -6,9 +6,11 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -167,6 +169,9 @@ func runBenchmark(b workload.Benchmark, cfg TableConfig, model *spawn.Model, mea
 			return Row{}, fmt.Errorf("bench: %s reschedule: %w", b.Name, err)
 		}
 	}
+	// A rescheduled image that equals the original runs exactly as the
+	// original does, so the uninstrumented run stands for its base run.
+	timeBase := cfg.RescheduleBaseline && !sameImage(orig, base)
 	ed, err := eel.Open(base)
 	if err != nil {
 		return Row{}, err
@@ -198,7 +203,7 @@ func runBenchmark(b workload.Benchmark, cfg TableConfig, model *spawn.Model, mea
 		}
 		meas.Release(in, nil)
 	})
-	if cfg.RescheduleBaseline {
+	if timeBase {
 		leg(func() {
 			var in *sim.Interp
 			var err error
@@ -250,7 +255,7 @@ func runBenchmark(b workload.Benchmark, cfg TableConfig, model *spawn.Model, mea
 			return Row{}, err
 		}
 	}
-	if !cfg.RescheduleBaseline {
+	if !timeBase {
 		row.BaseCycles, row.BaseSec = row.UninstCycles, row.UninstSec
 	}
 
@@ -283,6 +288,13 @@ func runBenchmark(b workload.Benchmark, cfg TableConfig, model *spawn.Model, mea
 		row.PctHidden = 100 * float64(row.InstCycles-row.SchedCycles) / float64(overhead)
 	}
 	return row, nil
+}
+
+// sameImage reports whether a and b load the same program: every field
+// the simulator reads is equal.
+func sameImage(a, b *exe.Exe) bool {
+	return a.Entry == b.Entry && a.TextBase == b.TextBase && a.DataBase == b.DataBase &&
+		a.BSSSize == b.BSSSize && slices.Equal(a.Text, b.Text) && bytes.Equal(a.Data, b.Data)
 }
 
 func ratio(a, b int64) float64 {

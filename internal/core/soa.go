@@ -152,7 +152,10 @@ type instArena struct {
 
 // prime gives a worker that has never allocated a first chunk of n
 // instructions, or of arenaChunk if that is smaller, so a small batch
-// on a fresh scheduler does not pay for a whole chunk.
+// on a fresh scheduler does not pay for a whole chunk. Only the batch
+// paths (ScheduleBlocks, ScheduleBlocksCtx) prime; a single-block
+// ScheduleBlock caller gets an unprimed arena, whose first take
+// allocates a whole arenaChunk.
 func (a *instArena) prime(n int) {
 	if cap(a.buf) == 0 && n > 0 {
 		a.buf = make([]sparc.Inst, 0, min(n, arenaChunk))

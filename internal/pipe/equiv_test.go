@@ -81,11 +81,11 @@ func TestGeneratedEquivalenceAllMachines(t *testing.T) {
 				reads, writes := interp.resolver.Resolve(g, inst)
 				gr := make([]genRegTime, len(reads))
 				for j, ra := range reads {
-					gr[j] = genRegTime{Reg: int(ra.Reg), Cycle: ra.Cycle}
+					gr[j] = genRegTime{Reg: int(ra.Reg), Cycle: int(ra.Cycle)}
 				}
 				gw := make([]genRegTime, len(writes))
 				for j, wa := range writes {
-					gw[j] = genRegTime{Reg: int(wa.Reg), Cycle: wa.Cycle}
+					gw[j] = genRegTime{Reg: int(wa.Reg), Cycle: int(wa.Cycle)}
 				}
 				variant := "r"
 				if inst.UseImm {

@@ -15,8 +15,10 @@ import (
 // ring buffer of per-cycle unit-usage rows instead of interpreting event
 // lists through an absolute-cycle map, and performs no allocation per
 // probe. Committed usage always lies in the window
-// [clock, clock+MaxHorizon), so a ring of MaxHorizon rows suffices and
-// cycles at or beyond the window are known-free.
+// [clock, clock+MaxHorizon), so a ring of at least MaxHorizon rows
+// suffices and cycles at or beyond the window are known-free. The row
+// count is rounded up to a power of two (RingRows) so a cycle finds its
+// row with a mask instead of a division.
 //
 // Like State, a FastState is not safe for concurrent use.
 type FastState struct {
@@ -24,9 +26,11 @@ type FastState struct {
 	tab   *spawn.CompiledTables
 	// clock is the earliest absolute cycle at which the next instruction
 	// may issue; the ring row of absolute cycle c (clock <= c <
-	// clock+horizon) starts at (c%horizon)*nu.
+	// clock+horizon) starts at (c&mask)*nu. Rows of cycles outside that
+	// window are zero.
 	clock   int64
 	horizon int64
+	mask    int64 // RingRows(horizon) - 1
 	nu      int
 	ring    []int32
 	writeCy [sparc.NumRegs]int64
@@ -202,9 +206,24 @@ func NewFastState(m *spawn.Model) *FastState {
 	if s.horizon < 1 {
 		s.horizon = 1
 	}
-	s.ring = make([]int32, int(s.horizon)*s.nu)
+	rows := RingRows(s.horizon)
+	s.mask = rows - 1
+	s.ring = make([]int32, int(rows)*s.nu)
 	s.Reset()
 	return s
+}
+
+// RingRows is the row count of a unit-usage ring for a window of horizon
+// cycles: horizon rounded up to a power of two. Any row count of at least
+// horizon keeps the window's cycles on distinct rows; a power of two lets
+// both hazard engines (FastState and the simulator's sim.HW) index a
+// cycle's row as cycle&(rows-1).
+func RingRows(horizon int64) int64 {
+	rows := int64(1)
+	for rows < horizon {
+		rows <<= 1
+	}
+	return rows
 }
 
 // Model returns the machine model the state was built for.
@@ -247,16 +266,6 @@ func (s *FastState) Issue(inst sparc.Inst) (stalls int, issueCycle int64, err er
 	return s.place(inst, true)
 }
 
-// MustIssue is Issue for instructions known to be schedulable; it panics
-// on model lookup failure.
-func (s *FastState) MustIssue(inst sparc.Inst) (stalls int, issueCycle int64) {
-	st, issue, err := s.Issue(inst)
-	if err != nil {
-		panic(err)
-	}
-	return st, issue
-}
-
 // place mirrors (*State).place cycle for cycle: retry the issue one cycle
 // later until every held-unit entry finds enough free copies and every
 // register access satisfies the RAW, WAR and WAW rules.
@@ -291,7 +300,7 @@ probe:
 				// No committed usage exists at or beyond the window.
 				continue
 			}
-			if counts[e.Unit]-s.ring[(abs%s.horizon)*int64(s.nu)+int64(e.Unit)] < int32(e.Num) {
+			if counts[e.Unit]-s.ring[(abs&s.mask)*int64(s.nu)+int64(e.Unit)] < int32(e.Num) {
 				if commit && s.attr != nil {
 					s.attr.structural(e.Unit)
 				}
@@ -337,7 +346,9 @@ probe:
 
 // commit records the placed instruction's effects. Ring rows whose cycles
 // fall behind the new clock are zeroed before the new usage lands, because
-// they alias cycles inside the advanced window.
+// they may alias cycles inside the advanced window. Rows of cycles past
+// the old window are already zero, so after the commit only rows of
+// [issue, issue+horizon) can hold usage.
 func (s *FastState) commit(cg *spawn.CompiledGroup, issue int64, reads, writes []RegAccess) {
 	nu := int64(s.nu)
 	if issue > s.clock {
@@ -345,7 +356,7 @@ func (s *FastState) commit(cg *spawn.CompiledGroup, issue int64, reads, writes [
 			clear(s.ring)
 		} else {
 			for c := s.clock; c < issue; c++ {
-				row := (c % s.horizon) * nu
+				row := (c & s.mask) * nu
 				clear(s.ring[row : row+nu])
 			}
 		}
@@ -353,7 +364,7 @@ func (s *FastState) commit(cg *spawn.CompiledGroup, issue int64, reads, writes [
 	}
 	for _, e := range cg.NZ {
 		abs := issue + int64(e.Cycle)
-		s.ring[(abs%s.horizon)*nu+int64(e.Unit)] += int32(e.Num)
+		s.ring[(abs&s.mask)*nu+int64(e.Unit)] += int32(e.Num)
 	}
 	for _, r := range reads {
 		if abs := issue + int64(r.Cycle); abs > s.readCy[r.Reg] {

@@ -3,6 +3,7 @@ package pipe
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"eel/internal/sparc"
 	"eel/internal/spawn"
@@ -84,5 +85,20 @@ func TestFastStateReset(t *testing.T) {
 		if us != fs || ui != fi {
 			t.Fatalf("inst %d: reset state issued (%d,%d), fresh state (%d,%d)", i, us, ui, fs, fi)
 		}
+	}
+}
+
+// TestPreparedSize pins the memo footprint: the simulator keeps one
+// Prepared per static instruction for every timed run, and twelve
+// register accesses make up most of it.
+func TestPreparedSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit targets")
+	}
+	if got := unsafe.Sizeof(RegAccess{}); got != 8 {
+		t.Errorf("RegAccess is %d bytes, want 8", got)
+	}
+	if got := unsafe.Sizeof(Prepared{}); got != 120 {
+		t.Errorf("Prepared is %d bytes, want 120", got)
 	}
 }

@@ -21,10 +21,12 @@ import (
 
 // RegAccess is a resolved register access: a concrete register and a
 // cycle relative to instruction issue (read cycle, or first-available
-// cycle for writes).
+// cycle for writes). Cycle is 32-bit so an access packs into 8 bytes:
+// every Prepared carries twelve of them, and the simulator keeps one
+// Prepared per static instruction.
 type RegAccess struct {
 	Reg   sparc.Reg
-	Cycle int
+	Cycle int32
 }
 
 // State is the execution-pipeline state threaded through a straight-line
@@ -102,16 +104,6 @@ func (s *State) Stalls(inst sparc.Inst) (int, error) {
 func (s *State) Issue(inst sparc.Inst) (stalls int, issueCycle int64, err error) {
 	st, issue, _, err := s.place(inst, true)
 	return st, issue, err
-}
-
-// MustIssue is Issue for instructions known to be schedulable; it panics
-// on model lookup failure.
-func (s *State) MustIssue(inst sparc.Inst) (stalls int, issueCycle int64) {
-	st, issue, err := s.Issue(inst)
-	if err != nil {
-		panic(err)
-	}
-	return st, issue
 }
 
 // SequenceCycles returns the number of cycles a straight-line sequence
@@ -354,14 +346,14 @@ func (s *Resolver) resolveWith(g *spawn.Group, inst sparc.Inst, defaultRead, def
 		if r == sparc.G0 {
 			continue
 		}
-		s.reads = append(s.reads, RegAccess{Reg: r, Cycle: accessCycle(g.Reads, inst, r, defaultRead)})
+		s.reads = append(s.reads, RegAccess{Reg: r, Cycle: int32(accessCycle(g.Reads, inst, r, defaultRead))})
 	}
 	s.regbuf = inst.Defs(s.regbuf[:0])
 	for _, w := range s.regbuf {
 		if w == sparc.G0 {
 			continue
 		}
-		s.writes = append(s.writes, RegAccess{Reg: w, Cycle: accessCycle(g.Writes, inst, w, defaultWrite)})
+		s.writes = append(s.writes, RegAccess{Reg: w, Cycle: int32(accessCycle(g.Writes, inst, w, defaultWrite))})
 	}
 	return s.reads, s.writes
 }

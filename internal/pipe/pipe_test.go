@@ -291,11 +291,11 @@ func TestGeneratedEquivalence(t *testing.T) {
 			reads, writes := interp.resolver.Resolve(g, inst)
 			genReads := make([]ultra.RegTime, len(reads))
 			for j, ra := range reads {
-				genReads[j] = ultra.RegTime{Reg: int(ra.Reg), Cycle: ra.Cycle}
+				genReads[j] = ultra.RegTime{Reg: int(ra.Reg), Cycle: int(ra.Cycle)}
 			}
 			genWrites := make([]ultra.RegTime, len(writes))
 			for j, wa := range writes {
-				genWrites[j] = ultra.RegTime{Reg: int(wa.Reg), Cycle: wa.Cycle}
+				genWrites[j] = ultra.RegTime{Reg: int(wa.Reg), Cycle: int(wa.Cycle)}
 			}
 			variant := "r"
 			if inst.UseImm {

@@ -96,6 +96,11 @@ func timingFor(t *testing.T, x *exe.Exe) *Timing {
 	return NewProgramTiming(model, cfg, x.TextBase, len(x.Text))
 }
 
+// Mispredicts and Redirects expose the branch statistics the counter
+// tests check; the product never reads them.
+func (t *Timing) Mispredicts() uint64 { return t.mispredicts }
+func (t *Timing) Redirects() uint64   { return t.redirects }
+
 // TestTimingBackwardBranchCounters runs a counted loop: the backward
 // conditional is taken N-1 times (predicted taken on the UltraSPARC, so
 // no mispredicts, one redirect each) and falls through once (the lone

@@ -94,10 +94,11 @@ func instKey(in sparc.Inst) uint64 {
 // code, and dynamically (via Timing) to measure execution.
 //
 // Placement probes the model's compiled tables (spawn.CompiledTables)
-// against a horizon-sized ring of flat per-cycle unit counters, mirroring
+// against a ring of flat per-cycle unit counters, mirroring
 // pipe.FastState: committed usage always lies in [clock, clock+horizon),
 // so cycles at or beyond the window are known-free and rows are recycled
-// as the clock advances.
+// as the clock advances. The ring has pipe.RingRows(horizon) rows, a
+// power of two, and cycle c lives in row c&mask.
 type HW struct {
 	model *spawn.Model
 	rules Rules
@@ -114,7 +115,8 @@ type HW struct {
 		p     pipe.Prepared
 	}
 
-	horizon   int64 // ring rows; no group holds units this long
+	horizon   int64 // window length; no group holds units this long
+	mask      int64 // ring rows - 1
 	nu        int   // units per row
 	ring      []int32
 	ready     [sparc.NumRegs]int64
@@ -136,7 +138,9 @@ func NewHW(model *spawn.Model, rules Rules) *HW {
 	if h.horizon < 1 {
 		h.horizon = 1
 	}
-	h.ring = make([]int32, int(h.horizon)*h.nu)
+	rows := pipe.RingRows(h.horizon)
+	h.mask = rows - 1
+	h.ring = make([]int32, int(rows)*h.nu)
 	h.Reset()
 	return h
 }
@@ -249,7 +253,7 @@ search:
 				// No committed usage exists at or beyond the window.
 				continue
 			}
-			if counts[e.Unit]-h.ring[(abs%h.horizon)*int64(h.nu)+int64(e.Unit)] < int32(e.Num) {
+			if counts[e.Unit]-h.ring[(abs&h.mask)*int64(h.nu)+int64(e.Unit)] < int32(e.Num) {
 				continue search
 			}
 		}
@@ -264,7 +268,7 @@ search:
 
 // commitAt records the placed instruction's effects. Ring rows whose
 // cycles fall behind the new clock are zeroed before the new usage lands,
-// because they alias cycles inside the advanced window.
+// because they may alias cycles inside the advanced window.
 func (h *HW) commitAt(flags core.InstFlags, cg *spawn.CompiledGroup, t int64, writes []pipe.RegAccess) {
 	nu := int64(h.nu)
 	if t > h.clock {
@@ -272,14 +276,14 @@ func (h *HW) commitAt(flags core.InstFlags, cg *spawn.CompiledGroup, t int64, wr
 			clear(h.ring)
 		} else {
 			for c := h.clock; c < t; c++ {
-				row := (c % h.horizon) * nu
+				row := (c & h.mask) * nu
 				clear(h.ring[row : row+nu])
 			}
 		}
 	}
 	for _, e := range cg.NZ {
 		abs := t + int64(e.Cycle)
-		h.ring[(abs%h.horizon)*nu+int64(e.Unit)] += int32(e.Num)
+		h.ring[(abs&h.mask)*nu+int64(e.Unit)] += int32(e.Num)
 	}
 	for _, w := range writes {
 		if avail := t + int64(w.Cycle); avail > h.ready[w.Reg] {

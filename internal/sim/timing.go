@@ -195,10 +195,6 @@ func (t *Timing) Instructions() uint64 { return t.instructions }
 // ICache exposes the cache model (nil if disabled).
 func (t *Timing) ICache() *Cache { return t.icache }
 
-// Mispredicts and Redirects expose branch statistics.
-func (t *Timing) Mispredicts() uint64 { return t.mispredicts }
-func (t *Timing) Redirects() uint64   { return t.redirects }
-
 // RunMeasured executes x functionally while measuring it on the machine's
 // timing model, returning the finished interpreter (for reading counters),
 // the timing observer and the run result.

@@ -18,6 +18,9 @@ import (
 // and keeps the fastest. EEL's later rescheduling pass, blind to the
 // hardware rules and armed with a single heuristic, partially undoes this
 // work: the paper's Table 1 de-scheduling effect.
+//
+// Each candidate schedules a whole batch at a time; the pricer then picks
+// the winner block by block.
 type compilerScheduler struct {
 	candidates []*core.Scheduler
 	// pricer measures every priced block, Reset in between; one
@@ -38,44 +41,42 @@ func newCompilerScheduler(model *spawn.Model, rules sim.Rules) *compilerSchedule
 	}
 }
 
-// ScheduleBlocksCtx schedules every block in order (eel.Scheduler). Each
-// candidate drives a single hardware oracle, so blocks run one after
-// another; ctx is unused.
+// ScheduleBlocksCtx (eel.Scheduler) runs each candidate over the whole
+// batch in one ScheduleBlocks call, which sizes the candidate's output
+// arena for the batch, and then keeps, per block, the candidate with the
+// fewest measured cycles on the hardware model; the original order
+// competes too. Each candidate drives a single hardware oracle, so the
+// batch runs sequentially; ctx is unused.
 func (c *compilerScheduler) ScheduleBlocksCtx(_ context.Context, blocks [][]sparc.Inst) ([][]sparc.Inst, error) {
+	scheduled := make([][][]sparc.Inst, len(c.candidates))
+	for k, sched := range c.candidates {
+		out, err := sched.ScheduleBlocks(blocks)
+		if err != nil {
+			return nil, err
+		}
+		scheduled[k] = out
+	}
 	out := make([][]sparc.Inst, len(blocks))
 	for i, block := range blocks {
-		scheduled, err := c.scheduleBlock(block)
+		best := block
+		bestCost, err := c.cost(block)
 		if err != nil {
 			return nil, fmt.Errorf("block %d: %w", i, err)
 		}
-		out[i] = scheduled
+		for _, cands := range scheduled {
+			cand := cands[i]
+			cost, err := c.cost(cand)
+			if err != nil {
+				return nil, fmt.Errorf("block %d: %w", i, err)
+			}
+			// Prefer shorter blocks on ties (dropped delay-slot nops).
+			if cost < bestCost || (cost == bestCost && len(cand) < len(best)) {
+				best, bestCost = cand, cost
+			}
+		}
+		out[i] = best
 	}
 	return out, nil
-}
-
-// scheduleBlock returns the best candidate schedule by measured cycles on
-// the hardware model; the original order competes too.
-func (c *compilerScheduler) scheduleBlock(block []sparc.Inst) ([]sparc.Inst, error) {
-	best := block
-	bestCost, err := c.cost(block)
-	if err != nil {
-		return nil, err
-	}
-	for _, sched := range c.candidates {
-		cand, err := sched.ScheduleBlock(block)
-		if err != nil {
-			return nil, err
-		}
-		cost, err := c.cost(cand)
-		if err != nil {
-			return nil, err
-		}
-		// Prefer shorter blocks on ties (dropped delay-slot nops).
-		if cost < bestCost || (cost == bestCost && len(cand) < len(best)) {
-			best, bestCost = cand, cost
-		}
-	}
-	return best, nil
 }
 
 // cost measures a block on a freshly reset hardware pipeline: the issue

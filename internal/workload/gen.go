@@ -427,7 +427,9 @@ func MeasureAvgBlockSize(x *exe.Exe, maxSteps uint64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	starts := make(map[int]bool, len(ed.Graph().Blocks))
+	// Interp observes only in-range text indices, so a slice indexed by
+	// instruction holds the block starts.
+	starts := make([]bool, len(ed.Insts()))
 	for _, b := range ed.Graph().Blocks {
 		starts[b.Start] = true
 	}
