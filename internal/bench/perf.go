@@ -49,15 +49,6 @@ func (f *PerfFile) SetSeriesManifest(series string, manifest map[string]string) 
 	f.Manifests[series] = manifest
 }
 
-// ParseGoBench parses `go test -bench` text output. The returned cpu is
-// the runner's self-description (the "cpu:" header line), for flagging
-// cross-machine comparisons. Names are normalized by stripping the
-// -GOMAXPROCS suffix Go appends on multi-core runners.
-func ParseGoBench(r io.Reader) (results []PerfResult, cpu string, err error) {
-	results, cpu, _, err = ParseGoBenchManifest(r)
-	return results, cpu, err
-}
-
 // ParseGoBenchManifest is ParseGoBench plus the run-manifest comment
 // lines load generators emit alongside their bench lines:
 //

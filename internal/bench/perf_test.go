@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"os"
 	"strings"
@@ -189,4 +190,13 @@ func TestCoreCountMismatch(t *testing.T) {
 		map[string]string{"eeld_numcpu": "2"}); !m {
 		t.Error("eeld_numcpu mismatch not detected")
 	}
+}
+
+// ParseGoBench parses `go test -bench` text output. The returned cpu is
+// the runner's self-description (the "cpu:" header line), for flagging
+// cross-machine comparisons. Names are normalized by stripping the
+// -GOMAXPROCS suffix Go appends on multi-core runners.
+func ParseGoBench(r io.Reader) (results []PerfResult, cpu string, err error) {
+	results, cpu, _, err = ParseGoBenchManifest(r)
+	return results, cpu, err
 }

@@ -286,25 +286,3 @@ func (g *Graph) computeLoopDepth() {
 		}
 	}
 }
-
-// BlockAt returns the block containing instruction index i.
-func (g *Graph) BlockAt(i int) (*Block, bool) {
-	for _, b := range g.Blocks {
-		if i >= b.Start && i < b.End {
-			return b, true
-		}
-	}
-	return nil, false
-}
-
-// StaticAvgBlockSize returns the mean block size in instructions.
-func (g *Graph) StaticAvgBlockSize() float64 {
-	if len(g.Blocks) == 0 {
-		return 0
-	}
-	total := 0
-	for _, b := range g.Blocks {
-		total += b.Size()
-	}
-	return float64(total) / float64(len(g.Blocks))
-}

@@ -18,9 +18,8 @@ import (
 // byte-identical to scheduling the blocks one by one with ScheduleBlock,
 // for any worker count.
 //
-// Schedulers built with NewWith hold a single, unreplicable oracle and
-// fall back to the sequential path. On error, the failure from the
-// lowest-indexed failing block is reported.
+// On error, the failure from the lowest-indexed failing block is
+// reported.
 func (s *Scheduler) ScheduleBlocks(blocks [][]sparc.Inst) ([][]sparc.Inst, error) {
 	return s.scheduleBlocksTraced(nil, -1, blocks)
 }
@@ -60,17 +59,14 @@ func (s *Scheduler) scheduleBlocksTraced(tr *obs.Trace, parent int32, blocks [][
 		agg = &phaseTimes{}
 		startNs = tr.SinceStart()
 	}
-	if s.factory == nil || workers <= 1 {
+	if workers <= 1 {
 		s.tel.recordBatch(1, len(blocks))
 		defer s.tel.recordCache(s.opts.Cache)
-		w := s.seq
-		if s.factory != nil {
-			// Draw private state from the pool so concurrent callers of a
-			// shared scheduler never contend on s.seq even when each call
-			// runs sequentially.
-			w = s.pool.Get().(*worker)
-			defer s.pool.Put(w)
-		}
+		// Draw private state from the pool so concurrent callers of a
+		// shared scheduler never contend on s.seq even when each call
+		// runs sequentially.
+		w := s.pool.Get().(*worker)
+		defer s.pool.Put(w)
 		w.sc.arena.prime(arenaNeed)
 		if agg != nil {
 			w.tt, w.traceID = agg, tr.ID()

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"eel/internal/pipe"
 	"eel/internal/sparc"
 	"eel/internal/spawn"
 )
@@ -95,25 +94,6 @@ func TestScheduleBlocksDeterministic(t *testing.T) {
 				t.Fatalf("%s workers=%d: encoded bytes differ", machine, workers)
 			}
 		}
-	}
-}
-
-func TestScheduleBlocksSequentialFallback(t *testing.T) {
-	// NewWith holds one unreplicable oracle: ScheduleBlocks must still
-	// work (sequentially) and agree with the default path.
-	model := spawn.MustLoad(spawn.UltraSPARC)
-	blocks := randomBlocks(rand.New(rand.NewSource(7)), 40)
-	s := NewWith(pipe.NewState(model), model, Options{Workers: 8})
-	got, err := s.ScheduleBlocks(blocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := New(model, Options{Workers: 1}).ScheduleBlocks(blocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("NewWith fallback schedule differs from default scheduler")
 	}
 }
 

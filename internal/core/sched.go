@@ -140,9 +140,8 @@ type Options struct {
 	// A/B checks). Fast and reference produce byte-identical schedules;
 	// EngineOptimal additionally runs a branch-and-bound exact search
 	// after the greedy pass and may emit a provably cheaper order. The
-	// fast engine's soundness rests on oracle monotonicity, so schedulers
-	// driven by a custom oracle (NewWith) always run the reference engine
-	// regardless of this option.
+	// fast engine's soundness rests on oracle monotonicity, which every
+	// oracle a constructor builds has.
 	Engine Engine
 	// OptimalBudget bounds the exact search (EngineOptimal) in
 	// branch-and-bound nodes — speculative issues — per block. 0 selects
@@ -164,8 +163,8 @@ type Options struct {
 	// Cache, when non-nil, memoizes per-block scheduling results keyed
 	// by (machine model, options, instruction-sequence hash) so repeated
 	// editing of hot blocks skips rescheduling. Only schedulers built
-	// with New consult it: a custom stall oracle (NewWith) is not part of
-	// the key, so its results must not be shared through a cache.
+	// with New consult it: hardware rules (NewHardware) are not part of
+	// the key, so those results must not be shared through a cache.
 	Cache *Cache
 	// Obs, when non-nil, receives scheduler telemetry: per-hazard stall
 	// attribution of every emitted schedule, cycles-hidden deltas, block
@@ -192,10 +191,9 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Pipeline is the stall oracle driving list scheduling. pipe.State — the
-// paper's SADL-derived pipeline_stalls — is the standard implementation;
-// sim.HWPipeline models the real machine's grouping rules and lets the
-// workload generator schedule code the way the vendors' compilers did.
+// Pipeline is the stall oracle driving list scheduling: the paper's
+// SADL-derived pipeline_stalls, as pipe.FastState (also with the
+// hardware rules, NewHardware) or the reference pipe.State.
 type Pipeline interface {
 	Reset()
 	Stalls(inst sparc.Inst) (int, error)
@@ -207,16 +205,13 @@ type Pipeline interface {
 // ScheduleBlock drives a single pipeline state and is not safe for
 // concurrent use; ScheduleBlocks fans blocks out over a worker pool in
 // which every worker draws a private stall oracle from a sync.Pool, and
-// is safe to call from multiple goroutines when the scheduler was built
-// with New.
+// is safe to call from multiple goroutines.
 type Scheduler struct {
 	model   *spawn.Model
-	seq     *worker         // sequential-path oracle + scratch
-	factory func() Pipeline // nil: oracle cannot be replicated for workers
-	pool    sync.Pool       // of *worker, fed by factory
+	seq     *worker   // sequential-path oracle + scratch
+	pool    sync.Pool // of *worker, each with a fresh oracle
 	opts    Options
 	cacheID uint64     // cache key seed; 0 when results are uncacheable
-	fastOK  bool       // oracle known monotone, EngineFast allowed
 	tel     *telemetry // nil unless Options.Obs carries a registry
 	opt     *optAgg    // nil unless Engine == EngineOptimal (optimal.go)
 	// telForceReplay disables inline attribution capture so telemetry
@@ -237,7 +232,7 @@ type Scheduler struct {
 // engine probes in a different order and EngineOptimal may emit a
 // sequence the greedy pass never issued, so both fall back to replay.
 func (s *Scheduler) telCapture() bool {
-	return s.tel != nil && !s.telForceReplay && s.fastOK &&
+	return s.tel != nil && !s.telForceReplay &&
 		s.opts.Engine != EngineReference && s.opt == nil
 }
 
@@ -294,15 +289,30 @@ func New(model *spawn.Model, opts Options) *Scheduler {
 	if opts.Oracle == OracleReference {
 		factory = func() Pipeline { return pipe.NewState(model) }
 	}
-	s := &Scheduler{model: model, seq: &worker{p: factory()}, factory: factory, opts: opts}
+	// The model name plus the options that change schedules fully
+	// determine the output.
+	return newScheduler(model, factory, opts, cacheSeed(model, opts))
+}
+
+// NewHardware returns a scheduler driven by the hardware issue engine
+// (pipe.NewHardwareState): the machine's SADL model plus rules it does
+// not describe. The workload generator schedules code with it the way
+// the vendors' compilers did. Options.Oracle is ignored, and results
+// never enter Options.Cache, whose key does not carry the rules.
+func NewHardware(model *spawn.Model, rules pipe.Rules, opts Options) *Scheduler {
+	opts.Oracle = OracleFast
+	factory := func() Pipeline { return pipe.NewHardwareState(model, rules) }
+	return newScheduler(model, factory, opts, 0)
+}
+
+// newScheduler builds a scheduler whose workers each own an oracle from
+// factory. Every oracle the constructors build is monotone (Issue only
+// adds unit usage, raises register horizons and the fetch floor, and
+// advances the clock), which is what the fast engine's cached-probe
+// lower bounds rely on.
+func newScheduler(model *spawn.Model, factory func() Pipeline, opts Options, cacheID uint64) *Scheduler {
+	s := &Scheduler{model: model, seq: &worker{p: factory()}, opts: opts, cacheID: cacheID}
 	s.pool.New = func() any { return &worker{p: factory()} }
-	// Both pipe oracles are monotone (Issue only adds unit usage, raises
-	// register horizons and advances the clock), which is what the fast
-	// engine's cached-probe lower bounds rely on.
-	s.fastOK = true
-	// Only the default oracle is cacheable: the model name plus the
-	// options that change schedules fully determine the output.
-	s.cacheID = cacheSeed(model, opts)
 	s.tel = newTelemetry(opts.Obs, model)
 	if opts.Engine == EngineOptimal {
 		s.opt = newOptAgg(opts.Obs)
@@ -312,15 +322,15 @@ func New(model *spawn.Model, opts Options) *Scheduler {
 }
 
 // initExec creates the persistent helper-goroutine pool when the
-// configuration can use one (a replicable oracle and more than one
-// worker). The pool outlives individual ScheduleBlocks calls — that is
-// its point: a daemon serving many small Edit requests through one
-// scheduler pays goroutine spin-up once, not per request. A finalizer
+// configuration can use one (more than one worker). The pool outlives
+// individual ScheduleBlocks calls — that is its point: a daemon serving
+// many small Edit requests through one scheduler pays goroutine spin-up
+// once, not per request. A finalizer
 // backstops Close for schedulers that are simply dropped: the pool's
 // goroutines park on a channel the Scheduler does not reference, so an
 // unreachable Scheduler still finalizes, and Close unparks them.
 func (s *Scheduler) initExec() {
-	if n := s.opts.workers() - 1; n > 0 && s.factory != nil {
+	if n := s.opts.workers() - 1; n > 0 {
 		s.exec = newExecPool(n)
 		runtime.SetFinalizer(s, func(s2 *Scheduler) { s2.exec.Close() })
 	}
@@ -334,16 +344,6 @@ func (s *Scheduler) Close() {
 	if s.exec != nil {
 		s.exec.Close()
 	}
-}
-
-// NewWith returns a scheduler driven by a custom stall oracle (e.g. a
-// hardware model with grouping rules the SADL description omits). The
-// oracle cannot be replicated, so ScheduleBlocks runs the sequential
-// path. Custom oracles are not known to be monotone, so these schedulers
-// run the reference engine.
-func NewWith(p Pipeline, model *spawn.Model, opts Options) *Scheduler {
-	return &Scheduler{model: model, seq: &worker{p: p}, opts: opts,
-		tel: newTelemetry(opts.Obs, model)}
 }
 
 // Model returns the scheduler's machine model.
@@ -807,13 +807,12 @@ func (sc *scratch) delaySlotLegal(cti, cand sparc.Inst) bool {
 }
 
 // scheduleStraightLine runs the two-pass list scheduler over straight-line
-// code on worker w, dispatching to the selected engine. The fast engine
-// is only eligible on schedulers built with New (known-monotone oracles).
+// code on worker w, dispatching to the selected engine.
 func (s *Scheduler) scheduleStraightLine(w *worker, body []sparc.Inst) ([]sparc.Inst, int64, error) {
 	if len(body) <= 1 {
 		return body, -1, nil
 	}
-	if s.fastOK && s.opts.Engine != EngineReference {
+	if s.opts.Engine != EngineReference {
 		// EngineOptimal also takes this path: the greedy fast pass both
 		// seeds the exact search's incumbent and fills the scratch arenas
 		// (dependence graph, prepared probes) the search reuses.

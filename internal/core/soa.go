@@ -6,21 +6,19 @@ import (
 	"eel/internal/spawn"
 )
 
-// This file is the structure-of-arrays block representation shared by
-// the scheduler's hot path and the simulator. A BlockSoA holds one flat
-// array per per-instruction fact — timing group (latency class),
-// hazard-rule flags, register masks, pre-resolved placement inputs
-// (pipe.Prepared) — built once per block and then indexed by every
-// consumer: the dependence-graph builder (depgraph.go), the ready
-// queue's prepared probes (readyq.go), the never-costs-more guard's
-// cost replays (sched.go), the exact search (optimal.go), and the
-// simulator's per-static-index memo (internal/sim.Timing), which sizes
-// only the arrays it needs via ResizePrep. Arrays are grown in place
-// and recycled across blocks, so a warmed worker builds a block's SoA
-// with zero allocations.
+// This file is the structure-of-arrays block representation of the
+// scheduler's hot path. A BlockSoA holds one flat array per
+// per-instruction fact — timing group (latency class), hazard-rule
+// flags, register masks, pre-resolved placement inputs (pipe.Prepared)
+// — built once per block and then indexed by every consumer: the
+// dependence-graph builder (depgraph.go), the ready queue's prepared
+// probes (readyq.go), the never-costs-more guard's cost replays
+// (sched.go) and the exact search (optimal.go). Arrays are grown in
+// place and recycled across blocks, so a warmed worker builds a block's
+// SoA with zero allocations.
 
 // InstFlags caches the per-instruction predicates the dependence rules
-// and the simulator's grouping rules test.
+// test.
 type InstFlags uint8
 
 const (
@@ -30,8 +28,8 @@ const (
 	FlagTrap
 )
 
-// InstFlagsOf computes an instruction's predicate flags.
-func InstFlagsOf(inst sparc.Inst) InstFlags {
+// instFlagsOf computes an instruction's predicate flags.
+func instFlagsOf(inst sparc.Inst) InstFlags {
 	var f InstFlags
 	if inst.Op.IsLoad() {
 		f |= FlagLoad
@@ -51,9 +49,7 @@ func InstFlagsOf(inst sparc.Inst) InstFlags {
 // BlockSoA is the flat per-instruction view of a block. Insts, Groups
 // and Flags always cover the block after Build; Prep is managed by the
 // owner (the scheduler fills it before Build when the oracle supports
-// preparing, the simulator fills it lazily per static index) and may be
-// empty, longer than Insts (CTI pricing slots), or sized independently
-// of the other arrays (ResizePrep).
+// preparing) and may be empty or longer than Insts (CTI pricing slots).
 type BlockSoA struct {
 	Insts  []sparc.Inst
 	Groups []*spawn.Group // timing group = latency class, per instruction
@@ -112,29 +108,9 @@ func (b *BlockSoA) Build(model *spawn.Model, insts []sparc.Inst, usePrep bool) e
 		}
 		b.useMask[i] = um
 		b.defMask[i] = dm
-		b.Flags[i] = InstFlagsOf(inst)
+		b.Flags[i] = instFlagsOf(inst)
 	}
 	return nil
-}
-
-// ResizePrep sizes Prep and Flags for a lazy per-index builder (the
-// simulator memoizes one Prepared per static text index and resolves it
-// on first execution), reusing capacity and clearing prior contents. A
-// cleared Prep slot reports a nil Group, which lazy builders use as the
-// not-yet-resolved marker.
-func (b *BlockSoA) ResizePrep(n int) {
-	if cap(b.Prep) >= n {
-		b.Prep = b.Prep[:n]
-		clear(b.Prep)
-	} else {
-		b.Prep = make([]pipe.Prepared, n)
-	}
-	if cap(b.Flags) >= n {
-		b.Flags = b.Flags[:n]
-		clear(b.Flags)
-	} else {
-		b.Flags = make([]InstFlags, n)
-	}
 }
 
 // arenaChunk is the instruction arena's allocation granularity.

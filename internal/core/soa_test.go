@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"eel/internal/pipe"
 	"eel/internal/sparc"
 	"eel/internal/spawn"
 )
@@ -32,38 +31,6 @@ func TestBlockSoABuildZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("warmed BlockSoA.Build allocates %.1f times per block, want 0", allocs)
-	}
-}
-
-// TestBlockSoAResizePrepClears pins the lazy-builder contract the
-// simulator memo relies on: after ResizePrep every slot must report a
-// nil Group (the not-yet-resolved marker) and cleared flags, even when
-// the arrays are being reused from a previous, larger program.
-func TestBlockSoAResizePrepClears(t *testing.T) {
-	model := spawn.MustLoad(spawn.UltraSPARC)
-	block := randomBlocks(rand.New(rand.NewSource(32)), 1)[0]
-	st := pipe.NewFastState(model)
-	var soa BlockSoA
-	soa.ResizePrep(len(block))
-	for i, inst := range block { // resolve every slot
-		p, err := st.Prepare(inst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		soa.Prep[i] = p
-		soa.Flags[i] = InstFlagsOf(inst)
-		if soa.Prep[i].Group() == nil {
-			t.Fatalf("slot %d still unresolved after Prepare", i)
-		}
-	}
-	soa.ResizePrep(len(block) - 1) // shrink within capacity: must clear
-	for i := range soa.Prep {
-		if soa.Prep[i].Group() != nil {
-			t.Fatalf("slot %d survived ResizePrep with a resolved Group", i)
-		}
-		if soa.Flags[i] != 0 {
-			t.Fatalf("slot %d survived ResizePrep with flags %b", i, soa.Flags[i])
-		}
 	}
 }
 

@@ -287,8 +287,8 @@ func (s *Scheduler) telemetryBlock(w *worker, block, out []sparc.Inst, fromCache
 	}
 	if d := before - after; d > 0 {
 		// The never-costs-more guard makes this non-negative whenever
-		// both orders price; clamp anyway so a custom oracle's quirk
-		// can never walk the counter backwards.
+		// both orders price; clamp anyway so a pricing quirk can never
+		// walk the counter backwards.
 		sh.hidden += d
 	}
 }

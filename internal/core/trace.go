@@ -75,24 +75,6 @@ func (s jsonlTraceSink) TraceBlock(t *BlockTrace) error { return s.j.Write(t) }
 // NewJSONLTraceSink adapts a JSONL writer into a TraceSink.
 func NewJSONLTraceSink(j *obs.JSONL) TraceSink { return jsonlTraceSink{j: j} }
 
-// engineName is the effective engine label for traces: schedulers with
-// custom oracles always run the reference engine (see Options.Engine).
-func (s *Scheduler) engineName() string {
-	if s.fastOK && s.opts.Engine != EngineReference {
-		return s.opts.Engine.String()
-	}
-	return EngineReference.String()
-}
-
-// oracleName labels the oracle for traces: the configured one on
-// schedulers built with New, "custom" for NewWith.
-func (s *Scheduler) oracleName() string {
-	if s.fastOK {
-		return s.opts.Oracle.String()
-	}
-	return "custom"
-}
-
 // emitTrace assembles and writes the worker's collected steps. A sink
 // write failure cannot un-schedule the block, so it is recorded in
 // telemetry when available and otherwise dropped.
@@ -100,8 +82,8 @@ func (s *Scheduler) emitTrace(w *worker, idx int, block, out []sparc.Inst) {
 	bt := &BlockTrace{
 		Block:        idx,
 		Model:        string(s.model.Machine),
-		Engine:       s.engineName(),
-		Oracle:       s.oracleName(),
+		Engine:       s.opts.Engine.String(),
+		Oracle:       s.opts.Oracle.String(),
 		Input:        append([]sparc.Inst(nil), block...),
 		Output:       append([]sparc.Inst(nil), out...),
 		KeptOriginal: w.keptOriginal,

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 )
 
 // Default segment layout, loosely mirroring SunOS/Solaris SPARC binaries.
@@ -73,17 +72,6 @@ func (e *Exe) InText(addr uint32) bool {
 	return addr >= e.TextBase && addr < e.TextEnd()
 }
 
-// WordAt returns the instruction word at a text address.
-func (e *Exe) WordAt(addr uint32) (uint32, error) {
-	if !e.InText(addr) {
-		return 0, fmt.Errorf("exe: address %#x outside text [%#x,%#x)", addr, e.TextBase, e.TextEnd())
-	}
-	if addr%WordSize != 0 {
-		return 0, fmt.Errorf("exe: misaligned text address %#x", addr)
-	}
-	return e.Text[(addr-e.TextBase)/WordSize], nil
-}
-
 // AddrOf returns the text address of instruction index i.
 func (e *Exe) AddrOf(i int) uint32 { return e.TextBase + uint32(i)*WordSize }
 
@@ -108,34 +96,6 @@ func (e *Exe) Lookup(name string) (Symbol, bool) {
 		}
 	}
 	return Symbol{}, false
-}
-
-// SymbolAt returns the name of the function symbol covering addr, if any:
-// the function symbol with the greatest address <= addr.
-func (e *Exe) SymbolAt(addr uint32) (Symbol, bool) {
-	var best Symbol
-	found := false
-	for _, s := range e.Symbols {
-		if !s.Func || s.Addr > addr {
-			continue
-		}
-		if !found || s.Addr > best.Addr {
-			best, found = s, true
-		}
-	}
-	return best, found
-}
-
-// FuncSymbols returns the function symbols sorted by address.
-func (e *Exe) FuncSymbols() []Symbol {
-	var out []Symbol
-	for _, s := range e.Symbols {
-		if s.Func {
-			out = append(out, s)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
-	return out
 }
 
 // Validate checks internal consistency: alignment, non-overlapping

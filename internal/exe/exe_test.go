@@ -2,9 +2,11 @@ package exe
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -169,4 +171,43 @@ func TestFileRoundTrip(t *testing.T) {
 	if _, err := ReadFile(filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Error("ReadFile(missing) succeeded")
 	}
+}
+
+// WordAt returns the instruction word at a text address.
+func (e *Exe) WordAt(addr uint32) (uint32, error) {
+	if !e.InText(addr) {
+		return 0, fmt.Errorf("exe: address %#x outside text [%#x,%#x)", addr, e.TextBase, e.TextEnd())
+	}
+	if addr%WordSize != 0 {
+		return 0, fmt.Errorf("exe: misaligned text address %#x", addr)
+	}
+	return e.Text[(addr-e.TextBase)/WordSize], nil
+}
+
+// SymbolAt returns the name of the function symbol covering addr, if any:
+// the function symbol with the greatest address <= addr.
+func (e *Exe) SymbolAt(addr uint32) (Symbol, bool) {
+	var best Symbol
+	found := false
+	for _, s := range e.Symbols {
+		if !s.Func || s.Addr > addr {
+			continue
+		}
+		if !found || s.Addr > best.Addr {
+			best, found = s, true
+		}
+	}
+	return best, found
+}
+
+// FuncSymbols returns the function symbols sorted by address.
+func (e *Exe) FuncSymbols() []Symbol {
+	var out []Symbol
+	for _, s := range e.Symbols {
+		if s.Func {
+			out = append(out, s)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
+	return out
 }

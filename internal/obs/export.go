@@ -332,69 +332,6 @@ func SplitLabels(name string) (family, labels string) {
 	return name, ""
 }
 
-// ParseLabeledName is the inverse of LabeledName: it splits an
-// instrument name into its family and its label pairs (key, value, key,
-// value...) with escaping undone. Malformed label blocks return an
-// error so callers don't silently mis-split values containing `=`, `,`
-// or quotes.
-func ParseLabeledName(name string) (family string, pairs []string, err error) {
-	family, labels := SplitLabels(name)
-	if labels == "" {
-		return family, nil, nil
-	}
-	if len(labels) < 2 || labels[0] != '{' || labels[len(labels)-1] != '}' {
-		return "", nil, fmt.Errorf("obs: malformed label block %q", labels)
-	}
-	s := labels[1 : len(labels)-1]
-	for len(s) > 0 {
-		eq := strings.IndexByte(s, '=')
-		if eq < 0 || len(s) < eq+2 || s[eq+1] != '"' {
-			return "", nil, fmt.Errorf("obs: malformed label pair in %q", labels)
-		}
-		key := s[:eq]
-		rest := s[eq+2:] // inside the opening quote
-		var val strings.Builder
-		i := 0
-		for {
-			if i >= len(rest) {
-				return "", nil, fmt.Errorf("obs: unterminated label value in %q", labels)
-			}
-			c := rest[i]
-			if c == '"' {
-				break
-			}
-			if c == '\\' {
-				if i+1 >= len(rest) {
-					return "", nil, fmt.Errorf("obs: dangling escape in %q", labels)
-				}
-				switch rest[i+1] {
-				case '\\':
-					val.WriteByte('\\')
-				case '"':
-					val.WriteByte('"')
-				case 'n':
-					val.WriteByte('\n')
-				default:
-					return "", nil, fmt.Errorf("obs: bad escape \\%c in %q", rest[i+1], labels)
-				}
-				i += 2
-				continue
-			}
-			val.WriteByte(c)
-			i++
-		}
-		pairs = append(pairs, key, val.String())
-		s = rest[i+1:]
-		if len(s) > 0 {
-			if s[0] != ',' {
-				return "", nil, fmt.Errorf("obs: expected ',' between labels in %q", labels)
-			}
-			s = s[1:]
-		}
-	}
-	return family, pairs, nil
-}
-
 // promName rewrites a dotted instrument name into a Prometheus metric
 // name: dots and dashes become underscores, anything else non-alphanumeric
 // is dropped.

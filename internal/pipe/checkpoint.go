@@ -3,7 +3,7 @@ package pipe
 import "eel/internal/sparc"
 
 // Checkpoint is a saved copy of a FastState's placement state — clock,
-// unit-usage ring and register horizons — so a search can issue
+// fetch floor, unit-usage ring and register horizons — so a search can issue
 // speculatively and rewind. The exact optimal scheduler (core/optimal.go)
 // keeps one Checkpoint per DFS depth and restores on backtrack, reusing
 // the prepared probes it already resolved; that is what makes a
@@ -17,6 +17,7 @@ import "eel/internal/sparc"
 // practice that means the same FastState the Checkpoint came from.
 type Checkpoint struct {
 	clock   int64
+	floor   int64
 	ring    []int32
 	writeCy [sparc.NumRegs]int64
 	readCy  [sparc.NumRegs]int64
@@ -24,7 +25,7 @@ type Checkpoint struct {
 
 // Save copies s's placement state into c, reusing c's storage.
 func (s *FastState) Save(c *Checkpoint) {
-	c.clock = s.clock
+	c.clock, c.floor = s.clock, s.floor
 	if cap(c.ring) < len(s.ring) {
 		c.ring = make([]int32, len(s.ring))
 	}
@@ -41,7 +42,7 @@ func (s *FastState) Restore(c *Checkpoint) {
 	if len(c.ring) != len(s.ring) {
 		panic("pipe: Restore with a checkpoint from a different model")
 	}
-	s.clock = c.clock
+	s.clock, s.floor = c.clock, c.floor
 	copy(s.ring, c.ring)
 	s.writeCy = c.writeCy
 	s.readCy = c.readCy

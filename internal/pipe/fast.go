@@ -20,14 +20,18 @@ import (
 // count is rounded up to a power of two (RingRows) so a cycle finds its
 // row with a mask instead of a division.
 //
+// The same engine is the hardware issue model (NewHardwareState): the
+// simulator's timing and the workload generator's compiler run it with
+// the machine's Rules, a fetch floor (Delay) and no WAR tracking.
+//
 // Like State, a FastState is not safe for concurrent use.
 type FastState struct {
 	model *spawn.Model
 	tab   *spawn.CompiledTables
-	// clock is the earliest absolute cycle at which the next instruction
-	// may issue; the ring row of absolute cycle c (clock <= c <
-	// clock+horizon) starts at (c&mask)*nu. Rows of cycles outside that
-	// window are zero.
+	// clock is the issue cycle of the most recent instruction and the
+	// earliest cycle the next one may issue at; the ring row of absolute
+	// cycle c (clock <= c < clock+horizon) starts at (c&mask)*nu. Rows of
+	// cycles outside that window are zero.
 	clock   int64
 	horizon int64
 	mask    int64 // RingRows(horizon) - 1
@@ -35,6 +39,14 @@ type FastState struct {
 	ring    []int32
 	writeCy [sparc.NumRegs]int64
 	readCy  [sparc.NumRegs]int64
+	// floor is the fetch floor: no instruction issues before it. Delay
+	// and the group-ending rules raise it; SADL oracles never do.
+	floor int64
+
+	// hardware marks a NewHardwareState engine: rules apply and WAR is
+	// not tracked (readCy stays at its Reset sentinel).
+	hardware bool
+	rules    Rules
 
 	resolver Resolver
 	// attr, when non-nil, receives per-cycle hazard classification of
@@ -43,24 +55,35 @@ type FastState struct {
 	// branches, so the disabled path costs one nil test per rejected
 	// cycle and the zero-alloc probe guarantee is untouched.
 	attr *StallAttr
-	// rcache memoizes register-access resolution and the group lookup per
-	// exact instruction (direct-mapped, overwrite on collision). A block's
-	// instructions are each resolved several times — scheduling probes,
-	// the issue, and the scheduler's cost replays — and resolution walks
+	// rcache memoizes placement inputs per exact instruction
+	// (direct-mapped, overwrite on collision). A block's instructions
+	// are each resolved several times — scheduling probes, the issue,
+	// and the scheduler's cost replays — and resolution walks
 	// string-keyed field accesses, so the memo removes most of the probe
 	// setup cost. Keying on the full Inst value makes hits exact.
 	rcache [resolveCacheSize]resolveEntry
 }
 
+// Rules are issue rules of the real machines that the SADL descriptions
+// deliberately do not model (the paper's descriptions "only model the
+// execution pipelines themselves"). Only a hardware state
+// (NewHardwareState) applies them, so EEL's scheduler cannot see them —
+// one source of the paper's de-scheduling effect.
+type Rules struct {
+	// MemEndsGroup makes a load or store the last instruction of its
+	// issue group: nothing issues with it in the same cycle after it.
+	MemEndsGroup bool
+	// CTIEndsGroup makes a control transfer the last instruction of its
+	// issue group.
+	CTIEndsGroup bool
+}
+
 const resolveCacheSize = 64 // power of two, covers typical block sizes
 
 type resolveEntry struct {
-	inst   sparc.Inst
-	g      *spawn.Group
-	ok     bool
-	nr, nw int8
-	reads  [6]RegAccess
-	writes [6]RegAccess
+	inst sparc.Inst
+	ok   bool
+	p    Prepared
 }
 
 // instKey folds an instruction into a cache index. Only mixing quality
@@ -86,40 +109,61 @@ func instKey(in sparc.Inst) uint64 {
 	return k >> 32
 }
 
-// resolve returns inst's timing group and resolved register accesses,
-// through the memo. The returned slices are read-only and valid until
-// the next resolve call that misses on the same cache slot.
-func (s *FastState) resolve(inst sparc.Inst) (*spawn.Group, []RegAccess, []RegAccess, *spawn.CompiledGroup, error) {
+// resolve returns inst's placement inputs through the memo. The result
+// is read-only and valid until the next resolve that misses on the same
+// cache slot.
+func (s *FastState) resolve(inst sparc.Inst) (*Prepared, error) {
 	e := &s.rcache[instKey(inst)&(resolveCacheSize-1)]
 	if e.ok && e.inst == inst {
-		return e.g, e.reads[:e.nr], e.writes[:e.nw], &s.tab.Groups[e.g.ID], nil
+		return &e.p, nil
 	}
+	e.ok = false
 	g, err := s.model.GroupOf(inst)
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, err
 	}
 	cg := &s.tab.Groups[g.ID]
 	reads, writes := s.resolver.resolveWith(g, inst, cg.DefaultRead, cg.DefaultWrite)
-	if len(reads) <= len(e.reads) && len(writes) <= len(e.writes) {
-		e.inst, e.g, e.ok = inst, g, true
-		e.nr = int8(copy(e.reads[:], reads))
-		e.nw = int8(copy(e.writes[:], writes))
-		return g, e.reads[:e.nr], e.writes[:e.nw], cg, nil
+	e.p = Prepared{g: g, cg: cg, kind: kindOf(inst)}
+	if len(reads) > len(e.p.reads) || len(writes) > len(e.p.writes) {
+		e.p.big = true
+	} else {
+		e.p.nr = int8(copy(e.p.reads[:], reads))
+		e.p.nw = int8(copy(e.p.writes[:], writes))
 	}
-	e.ok = false
-	return g, reads, writes, cg, nil
+	e.inst, e.ok = inst, true
+	return &e.p, nil
+}
+
+// Instruction kinds the hardware rules test, cached in Prepared.kind.
+const (
+	kindMem uint8 = 1 << iota // load or store
+	kindCTI                   // control transfer
+)
+
+func kindOf(inst sparc.Inst) uint8 {
+	switch {
+	case inst.Op.IsLoad() || inst.Op.IsStore():
+		return kindMem
+	case inst.IsCTI():
+		return kindCTI
+	}
+	return 0
 }
 
 // Prepared carries one instruction's pre-resolved placement inputs:
-// its compiled group and register accesses, copied into caller-owned
-// storage. A scheduler probes and issues the same instruction several
-// times per block; preparing once removes the resolution work from every
-// subsequent probe. Prepared values are position-independent and stay
-// valid for the lifetime of the FastState that produced them.
+// its compiled group, its kind and its register accesses, copied into
+// caller-owned storage. A scheduler probes and issues the same
+// instruction several times per block, and the simulator executes the
+// same static instruction many times; preparing once removes the
+// resolution work from every later probe. Prepared values are
+// position-independent and stay valid for the lifetime of the FastState
+// that produced them; the zero value (nil Group) is "not prepared".
 type Prepared struct {
 	g      *spawn.Group
 	cg     *spawn.CompiledGroup
-	big    bool // accesses exceed the inline arrays; fall back to resolve
+	big    bool  // accesses exceed the inline arrays; re-resolve per probe
+	kind   uint8 // kindMem/kindCTI, for the hardware rules
 	nr, nw int8
 	reads  [6]RegAccess
 	writes [6]RegAccess
@@ -141,62 +185,25 @@ func (p *Prepared) Accesses() (reads, writes []RegAccess) {
 	return p.reads[:p.nr], p.writes[:p.nw]
 }
 
-// Spilled reports whether the accesses exceeded the inline arrays, so
-// probes against this Prepared fall back to full resolution.
-func (p *Prepared) Spilled() bool { return p.big }
-
-// Compiled returns the prepared instruction's compiled group.
-func (p *Prepared) Compiled() *spawn.CompiledGroup { return p.cg }
-
-// NewPrepared assembles a Prepared from already-resolved placement
-// inputs, for callers that run their own resolution (the simulator
-// keeps a per-static-instruction memo and shares this representation
-// with the scheduler). Accesses beyond the inline capacity mark the
-// value spilled, exactly as Prepare would.
-func NewPrepared(g *spawn.Group, cg *spawn.CompiledGroup, reads, writes []RegAccess) Prepared {
-	p := Prepared{g: g, cg: cg}
-	if len(reads) > len(p.reads) || len(writes) > len(p.writes) {
-		p.big = true
-		return p
-	}
-	p.nr = int8(copy(p.reads[:], reads))
-	p.nw = int8(copy(p.writes[:], writes))
-	return p
-}
-
 // Prepare resolves inst once for repeated prepared probes.
 func (s *FastState) Prepare(inst sparc.Inst) (Prepared, error) {
-	var p Prepared
-	g, reads, writes, cg, err := s.resolve(inst)
+	p, err := s.resolve(inst)
 	if err != nil {
-		return p, err
+		return Prepared{}, err
 	}
-	p.g, p.cg = g, cg
-	if len(reads) > len(p.reads) || len(writes) > len(p.writes) {
-		p.big = true
-		return p, nil
-	}
-	p.nr = int8(copy(p.reads[:], reads))
-	p.nw = int8(copy(p.writes[:], writes))
-	return p, nil
+	return *p, nil
 }
 
 // StallsPrepared is Stalls against pre-resolved placement inputs. The
 // inst must be the one p was prepared from.
 func (s *FastState) StallsPrepared(p *Prepared, inst sparc.Inst) (int, error) {
-	if p.big {
-		return s.Stalls(inst)
-	}
-	st, _, err := s.placeResolved(p.cg, inst, p.reads[:p.nr], p.writes[:p.nw], false)
+	st, _, err := s.placeResolved(p, &inst, false)
 	return st, err
 }
 
 // IssuePrepared is Issue against pre-resolved placement inputs.
 func (s *FastState) IssuePrepared(p *Prepared, inst sparc.Inst) (int, int64, error) {
-	if p.big {
-		return s.Issue(inst)
-	}
-	return s.placeResolved(p.cg, inst, p.reads[:p.nr], p.writes[:p.nw], true)
+	return s.placeResolved(p, &inst, true)
 }
 
 // NewFastState returns an empty fast pipeline state for a machine model.
@@ -213,11 +220,22 @@ func NewFastState(m *spawn.Model) *FastState {
 	return s
 }
 
+// NewHardwareState returns the hardware issue engine for a machine
+// model: a FastState that applies rules and the fetch floor, and does
+// not track WAR hazards because the hardware reads an instruction's
+// operands when it issues, so a later write cannot overtake the read.
+// The simulator times execution on it, and the workload generator's
+// compiler schedules and prices code against it.
+func NewHardwareState(m *spawn.Model, rules Rules) *FastState {
+	s := NewFastState(m)
+	s.hardware, s.rules = true, rules
+	return s
+}
+
 // RingRows is the row count of a unit-usage ring for a window of horizon
 // cycles: horizon rounded up to a power of two. Any row count of at least
 // horizon keeps the window's cycles on distinct rows; a power of two lets
-// both hazard engines (FastState and the simulator's sim.HW) index a
-// cycle's row as cycle&(rows-1).
+// FastState index a cycle's row as cycle&(rows-1).
 func RingRows(horizon int64) int64 {
 	rows := int64(1)
 	for rows < horizon {
@@ -242,6 +260,7 @@ func (s *FastState) SetAttribution(a *StallAttr) {
 // Reset clears the state, e.g. at a basic-block boundary.
 func (s *FastState) Reset() {
 	s.clock = 0
+	s.floor = 0
 	clear(s.ring)
 	for i := range s.writeCy {
 		// -1 sentinels: cycle 0 writes and reads must not self-conflict.
@@ -250,8 +269,16 @@ func (s *FastState) Reset() {
 	}
 }
 
-// Clock returns the earliest issue cycle for the next instruction.
+// Clock returns the issue cycle of the most recent instruction.
 func (s *FastState) Clock() int64 { return s.clock }
+
+// Delay raises the fetch floor: the next instruction issues at cycle c
+// or later (fetch redirects and cache misses in the simulator).
+func (s *FastState) Delay(c int64) {
+	if c > s.floor {
+		s.floor = c
+	}
+}
 
 // Stalls computes how many cycles inst must wait before issuing, without
 // modifying the state.
@@ -266,32 +293,56 @@ func (s *FastState) Issue(inst sparc.Inst) (stalls int, issueCycle int64, err er
 	return s.place(inst, true)
 }
 
-// place mirrors (*State).place cycle for cycle: retry the issue one cycle
-// later until every held-unit entry finds enough free copies and every
-// register access satisfies the RAW, WAR and WAW rules.
+// place mirrors (*State).place: it finds the earliest cycle at which
+// every held-unit entry finds enough free copies and every register
+// access satisfies the RAW, WAR and WAW rules.
 func (s *FastState) place(inst sparc.Inst, commit bool) (stalls int, issueCycle int64, err error) {
-	_, reads, writes, cg, err := s.resolve(inst)
+	p, err := s.resolve(inst)
 	if err != nil {
 		return 0, 0, err
 	}
-	return s.placeResolved(cg, inst, reads, writes, commit)
+	return s.placeResolved(p, &inst, commit)
 }
 
-// placeResolved is place with the group and register accesses already
-// resolved (by resolve or a Prepared).
-func (s *FastState) placeResolved(cg *spawn.CompiledGroup, inst sparc.Inst, reads, writes []RegAccess, commit bool) (stalls int, issueCycle int64, err error) {
+// placeResolved places inst, whose prepared inputs are p, at the
+// earliest issue cycle at or after the clock and the fetch floor. Cycles
+// the floor skips are fetch stalls, not hazards, so an attribution sink
+// does not see them. Spilled accesses are re-resolved into the
+// resolver's scratch (rare: no shipped description produces more than
+// six).
+func (s *FastState) placeResolved(p *Prepared, inst *sparc.Inst, commit bool) (stalls int, issueCycle int64, err error) {
 	const maxStall = 1 << 16 // mirrors State's bound
+	cg := p.cg
+	reads, writes := p.reads[:p.nr], p.writes[:p.nw]
+	if p.big {
+		reads, writes = s.resolver.resolveWith(p.g, *inst, cg.DefaultRead, cg.DefaultWrite)
+	}
 	if cg.Infeasible {
 		// The reference oracle would probe maxStall cycles and then give
 		// up; the demand can never fit, so fail the same way immediately.
-		return 0, 0, fmt.Errorf("pipe: cannot place %v within %d cycles", inst, maxStall)
+		return 0, 0, fmt.Errorf("pipe: cannot place %v within %d cycles", *inst, maxStall)
+	}
+	attr := s.attr
+	if !commit {
+		attr = nil
+	}
+	t := max(s.clock, s.floor)
+	if attr == nil {
+		// Every cycle before a read's operand is ready fails the RAW test
+		// below, so start there instead of stepping through them. The
+		// attributed path steps, because it classifies each cycle.
+		for _, r := range reads {
+			if need := s.writeCy[r.Reg] - int64(r.Cycle); need > t {
+				t = need
+			}
+		}
 	}
 	counts := s.tab.UnitCounts
 	horizonEnd := s.clock + s.horizon
 probe:
-	for t := s.clock; ; t++ {
+	for ; ; t++ {
 		if t-s.clock > maxStall {
-			return 0, 0, fmt.Errorf("pipe: cannot place %v within %d cycles", inst, maxStall)
+			return 0, 0, fmt.Errorf("pipe: cannot place %v within %d cycles", *inst, maxStall)
 		}
 		// Structural hazards, sparse: only nonzero held entries checked.
 		for _, e := range cg.NZ {
@@ -301,8 +352,8 @@ probe:
 				continue
 			}
 			if counts[e.Unit]-s.ring[(abs&s.mask)*int64(s.nu)+int64(e.Unit)] < int32(e.Num) {
-				if commit && s.attr != nil {
-					s.attr.structural(e.Unit)
+				if attr != nil {
+					attr.structural(e.Unit)
 				}
 				continue probe
 			}
@@ -310,8 +361,8 @@ probe:
 		// RAW: a read must not precede the value's availability.
 		for _, r := range reads {
 			if t+int64(r.Cycle) < s.writeCy[r.Reg] {
-				if commit && s.attr != nil {
-					s.attr.data(HazardRAW, r.Reg)
+				if attr != nil {
+					attr.data(HazardRAW, r.Reg)
 				}
 				continue probe
 			}
@@ -320,25 +371,26 @@ probe:
 		// the previous value's availability and after its last read. The
 		// availability rule is tested first, so an attributed cycle that
 		// violates both counts as WAW — the same tie the reference
-		// classifier breaks the same way.
+		// classifier breaks the same way. A hardware state never records
+		// a read, so its WAR test always passes.
 		for _, w := range writes {
 			avail := t + int64(w.Cycle)
 			if avail <= s.writeCy[w.Reg] {
-				if commit && s.attr != nil {
-					s.attr.data(HazardWAW, w.Reg)
+				if attr != nil {
+					attr.data(HazardWAW, w.Reg)
 				}
 				continue probe
 			}
 			if avail <= s.readCy[w.Reg] {
-				if commit && s.attr != nil {
-					s.attr.data(HazardWAR, w.Reg)
+				if attr != nil {
+					attr.data(HazardWAR, w.Reg)
 				}
 				continue probe
 			}
 		}
 		stalls = int(t - s.clock)
 		if commit {
-			s.commit(cg, t, reads, writes)
+			s.commit(p, t, reads, writes)
 		}
 		return stalls, t, nil
 	}
@@ -349,7 +401,7 @@ probe:
 // they may alias cycles inside the advanced window. Rows of cycles past
 // the old window are already zero, so after the commit only rows of
 // [issue, issue+horizon) can hold usage.
-func (s *FastState) commit(cg *spawn.CompiledGroup, issue int64, reads, writes []RegAccess) {
+func (s *FastState) commit(p *Prepared, issue int64, reads, writes []RegAccess) {
 	nu := int64(s.nu)
 	if issue > s.clock {
 		if issue-s.clock >= s.horizon {
@@ -362,19 +414,24 @@ func (s *FastState) commit(cg *spawn.CompiledGroup, issue int64, reads, writes [
 		}
 		s.clock = issue
 	}
-	for _, e := range cg.NZ {
+	for _, e := range p.cg.NZ {
 		abs := issue + int64(e.Cycle)
 		s.ring[(abs&s.mask)*nu+int64(e.Unit)] += int32(e.Num)
 	}
-	for _, r := range reads {
-		if abs := issue + int64(r.Cycle); abs > s.readCy[r.Reg] {
-			s.readCy[r.Reg] = abs
+	if !s.hardware {
+		for _, r := range reads {
+			if abs := issue + int64(r.Cycle); abs > s.readCy[r.Reg] {
+				s.readCy[r.Reg] = abs
+			}
 		}
 	}
 	for _, w := range writes {
 		if abs := issue + int64(w.Cycle); abs > s.writeCy[w.Reg] {
 			s.writeCy[w.Reg] = abs
 		}
+	}
+	if p.kind&kindMem != 0 && s.rules.MemEndsGroup || p.kind&kindCTI != 0 && s.rules.CTIEndsGroup {
+		s.floor = issue + 1
 	}
 }
 

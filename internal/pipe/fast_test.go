@@ -102,3 +102,24 @@ func TestPreparedSize(t *testing.T) {
 		t.Errorf("Prepared is %d bytes, want 120", got)
 	}
 }
+
+// TestHardwareStateSkipsWAR pins the hardware engine's documented rule:
+// it reads operands at issue, so an instruction that overwrites a
+// register the previous one read may issue in the same cycle, where the
+// SADL oracle orders the write after the read.
+func TestHardwareStateSkipsWAR(t *testing.T) {
+	read := sparc.NewALU(sparc.OpAdd, sparc.G3, sparc.G1, sparc.G2)
+	overwrite := sparc.NewSethi(sparc.G1, 5)
+	for _, machine := range spawn.Machines() {
+		model := spawn.MustLoad(machine)
+		sadl, hw := NewFastState(model), NewHardwareState(model, Rules{})
+		sadl.MustIssue(read)
+		hw.MustIssue(read)
+		_, sadlAt := sadl.MustIssue(overwrite)
+		_, hwAt := hw.MustIssue(overwrite)
+		if hwAt >= sadlAt {
+			t.Errorf("%s: overwrite issues at %d on the hardware state, %d on the SADL oracle; want earlier",
+				machine, hwAt, sadlAt)
+		}
+	}
+}

@@ -168,7 +168,9 @@ skip:
 // TestProgramTimingMatchesPlain runs the same program through the
 // per-static-index memo path (NewProgramTiming), the per-instruction
 // resolve-cache fallback (NewTiming), and a pooled re-run (ResetFor),
-// and requires identical measurements from all three.
+// and requires identical measurements from all three. A last ResetFor
+// onto a different, shorter program must not reuse the first program's
+// memo slots.
 func TestProgramTimingMatchesPlain(t *testing.T) {
 	x := buildExe(t, `
 	mov 0, %g1
@@ -212,6 +214,32 @@ loop:
 	if againC != plainC || againM != plainM || againR != plainR {
 		t.Errorf("ResetFor re-run (%d,%d,%d) != fresh timing (%d,%d,%d)",
 			againC, againM, againR, plainC, plainM, plainR)
+	}
+
+	other := buildExe(t, `
+	mov 0, %g1
+	set 300, %g2
+loop:
+	ld [%sp], %g3
+	add %g1, 1, %g1
+	cmp %g1, %g2
+	bne loop
+	nop
+	ta 0
+`)
+	in, err := NewInterp(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := NewProgramTiming(model, cfg, other.TextBase, len(other.Text))
+	if _, err := in.Run(1e6, fresh.Observe); err != nil {
+		t.Fatal(err)
+	}
+	x = other
+	prog.ResetFor(other.TextBase, len(other.Text))
+	if c, m, r := runWith(prog); c != fresh.Cycles() || m != fresh.Mispredicts() || r != fresh.Redirects() {
+		t.Errorf("ResetFor onto another program (%d,%d,%d) != fresh timing (%d,%d,%d)",
+			c, m, r, fresh.Cycles(), fresh.Mispredicts(), fresh.Redirects())
 	}
 }
 

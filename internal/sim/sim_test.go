@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"eel/internal/exe"
+	"eel/internal/pipe"
 	"eel/internal/sparc"
 	"eel/internal/spawn"
 )
@@ -403,7 +404,7 @@ func TestHWPipelineGroupingRules(t *testing.T) {
 	model := spawn.MustLoad(spawn.SuperSPARC)
 	// Without rules, a load can co-issue with a following add; with
 	// MemEndsGroup the add lands in the next cycle.
-	free := NewHWPipeline(model, Rules{})
+	free := pipe.NewHardwareState(model, pipe.Rules{})
 	_, c1, err := free.Issue(sparc.NewLoad(sparc.OpLd, sparc.G1, sparc.O0, 0))
 	if err != nil {
 		t.Fatal(err)
@@ -416,7 +417,7 @@ func TestHWPipelineGroupingRules(t *testing.T) {
 		t.Errorf("free rules: add at %d, load at %d; should co-issue", c2, c1)
 	}
 
-	strict := NewHWPipeline(model, Rules{MemEndsGroup: true})
+	strict := pipe.NewHardwareState(model, pipe.Rules{MemEndsGroup: true})
 	_, c1, _ = strict.Issue(sparc.NewLoad(sparc.OpLd, sparc.G1, sparc.O0, 0))
 	_, c2, _ = strict.Issue(sparc.NewALUImm(sparc.OpAdd, sparc.G2, sparc.G3, 1))
 	if c2 != c1+1 {
@@ -425,10 +426,10 @@ func TestHWPipelineGroupingRules(t *testing.T) {
 }
 
 func TestHWPipelineMatchesPipeOnPlainCode(t *testing.T) {
-	// With no extra rules the HW engine and the SADL pipeline agree on
-	// issue cycles for a simple independent sequence.
+	// With no extra rules the hardware engine and the SADL pipeline agree
+	// on issue cycles for a simple independent sequence.
 	model := spawn.MustLoad(spawn.UltraSPARC)
-	hw := NewHWPipeline(model, Rules{})
+	hw := pipe.NewHardwareState(model, pipe.Rules{})
 	seq := []sparc.Inst{
 		sparc.NewSethi(sparc.G1, 0x10000),
 		sparc.NewLoad(sparc.OpLd, sparc.G2, sparc.G1, 0x40),

@@ -1,11 +1,44 @@
 package sim
 
 import (
-	"eel/internal/core"
 	"eel/internal/exe"
+	"eel/internal/pipe"
 	"eel/internal/sparc"
 	"eel/internal/spawn"
 )
+
+// Rules are a machine's hardware behaviour beyond its SADL description:
+// the issue rules the hardware engine (pipe.NewHardwareState) applies,
+// plus the fetch-side penalties Timing charges through its fetch floor.
+type Rules struct {
+	pipe.Rules
+	// RedirectPenalty is the fetch bubble (cycles) after any taken
+	// control transfer.
+	RedirectPenalty int64
+	// MispredictPenalty is added when a conditional branch goes against
+	// the static prediction.
+	MispredictPenalty int64
+	// PredictBackwardTaken enables static backward-taken/forward-untaken
+	// prediction; without it every taken conditional pays the redirect
+	// penalty and untaken ones are free.
+	PredictBackwardTaken bool
+}
+
+// MachineRules returns the hardware rules for a machine.
+func MachineRules(m spawn.Machine) Rules {
+	switch m {
+	case spawn.SuperSPARC:
+		return Rules{Rules: pipe.Rules{MemEndsGroup: true, CTIEndsGroup: true}, RedirectPenalty: 1}
+	case spawn.UltraSPARC:
+		return Rules{
+			Rules:                pipe.Rules{MemEndsGroup: true},
+			RedirectPenalty:      1,
+			MispredictPenalty:    3,
+			PredictBackwardTaken: true,
+		}
+	}
+	return Rules{RedirectPenalty: 1}
+}
 
 // TimingConfig selects the hardware timing features of a machine.
 type TimingConfig struct {
@@ -50,21 +83,18 @@ func DefaultTiming(m spawn.Machine) TimingConfig {
 // the instruction cache, and branch redirect/misprediction penalties.
 // Feed it to Interp.Run as the observer.
 type Timing struct {
-	hw     *HW
+	hw     *pipe.FastState // pipe.NewHardwareState
 	cfg    TimingConfig
 	icache *Cache
 	base   uint32 // text base for fetch addresses
 
-	// prog memoizes each static instruction's timing-group resolution and
-	// held-unit placement inputs per text index, in the scheduler's
-	// structure-of-arrays block representation (core.BlockSoA, sized via
-	// ResizePrep: only the Prep and Flags arrays are used; a Prep slot
-	// with a nil Group is not yet resolved). Empty when the text length
-	// is unknown — plain NewTiming callers — in which case Observe falls
-	// back to HW's per-instruction resolve cache. A 600k-step run
-	// touches only a few thousand static instructions, so each is
-	// resolved at most once.
-	prog core.BlockSoA
+	// prep memoizes each static instruction's placement inputs per text
+	// index; a slot with a nil Group is not yet resolved. Empty when the
+	// text length is unknown — plain NewTiming callers — in which case
+	// Observe falls back to the engine's per-instruction resolve cache.
+	// A 600k-step run touches only a few thousand static instructions,
+	// so each is resolved at most once.
+	prep []pipe.Prepared
 
 	lastIdx int
 	// Pending conditional branch, for misprediction accounting.
@@ -80,7 +110,7 @@ type Timing struct {
 // NewTiming builds a timing observer for an executable's text base.
 func NewTiming(model *spawn.Model, cfg TimingConfig, textBase uint32) *Timing {
 	t := &Timing{
-		hw:      NewHW(model, cfg.Rules),
+		hw:      pipe.NewHardwareState(model, cfg.Rules.Rules),
 		cfg:     cfg,
 		base:    textBase,
 		lastIdx: -1,
@@ -97,7 +127,7 @@ func NewTiming(model *spawn.Model, cfg TimingConfig, textBase uint32) *Timing {
 // execution, instead of on every dynamic instruction.
 func NewProgramTiming(model *spawn.Model, cfg TimingConfig, textBase uint32, textLen int) *Timing {
 	t := NewTiming(model, cfg, textBase)
-	t.prog.ResizePrep(textLen)
+	t.prep = make([]pipe.Prepared, textLen)
 	return t
 }
 
@@ -114,7 +144,12 @@ func (t *Timing) ResetFor(textBase uint32, textLen int) {
 	t.lastIdx, t.pendIdx = -1, -1
 	t.pendDisp, t.sinceCTI = 0, 0
 	t.instructions, t.mispredicts, t.redirects = 0, 0, 0
-	t.prog.ResizePrep(textLen)
+	if cap(t.prep) >= textLen {
+		t.prep = t.prep[:textLen]
+		clear(t.prep)
+	} else {
+		t.prep = make([]pipe.Prepared, textLen)
+	}
 }
 
 // Observe consumes one executed instruction. It matches sim.Observer.
@@ -148,29 +183,22 @@ func (t *Timing) Observe(idx int, inst *sparc.Inst) {
 		}
 	}
 
-	var issue int64
 	var err error
-	if idx < len(t.prog.Prep) {
-		p := &t.prog.Prep[idx]
+	if idx < len(t.prep) {
+		p := &t.prep[idx]
 		if p.Group() == nil {
-			err = t.hw.prepare(p, inst)
-			if err == nil {
-				t.prog.Flags[idx] = core.InstFlagsOf(*inst)
-			}
+			*p, err = t.hw.Prepare(*inst)
 		}
 		if err == nil {
-			issue, err = t.hw.placePrepared(p, t.prog.Flags[idx], inst, true)
+			_, _, err = t.hw.IssuePrepared(p, *inst)
 		}
 	} else {
-		issue, err = t.hw.place(inst, true)
+		_, _, err = t.hw.Issue(*inst)
 	}
 	if err != nil {
 		// The stream already executed functionally; a timing-model gap is
 		// a bug, so make it loud.
 		panic(err)
-	}
-	if t.cfg.Rules.CTIEndsGroup && inst.IsCTI() {
-		t.hw.Delay(issue + 1)
 	}
 
 	if (inst.Op == sparc.OpBicc || inst.Op == sparc.OpFBfcc) && !inst.IsUncond() {

@@ -2,10 +2,7 @@ package spawn
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-
-	"eel/internal/sparc"
 )
 
 // Describe renders a human-readable summary of the analyzed model: units,
@@ -63,35 +60,4 @@ func idx(a FieldAccess) string {
 		return fmt.Sprintf("[%d]", a.Index)
 	}
 	return ""
-}
-
-// LatencyTable returns, per opcode name, (cycles, result-availability) for
-// the immediate variant — the summary a scheduling engineer compares with
-// the processor manual's latency tables.
-func (m *Model) LatencyTable() map[string][2]int {
-	out := make(map[string][2]int)
-	for op := sparc.Op(1); op < sparc.NumOps; op++ {
-		g, err := m.GroupFor(op, true)
-		if err != nil {
-			continue
-		}
-		avail := g.Cycles
-		for _, w := range g.Writes {
-			if w.Field == "rd" {
-				avail = w.Cycle
-			}
-		}
-		out[op.Name()] = [2]int{g.Cycles, avail}
-	}
-	return out
-}
-
-// SortedOpNames returns the op names of a latency table in stable order.
-func SortedOpNames(t map[string][2]int) []string {
-	names := make([]string, 0, len(t))
-	for n := range t {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -3,6 +3,7 @@ package spawn
 import (
 	"go/parser"
 	"go/token"
+	"sort"
 	"strings"
 	"testing"
 
@@ -260,4 +261,35 @@ func TestLatencyTable(t *testing.T) {
 	if len(names) != len(lt) || names[0] > names[len(names)-1] {
 		t.Error("SortedOpNames wrong")
 	}
+}
+
+// LatencyTable returns, per opcode name, (cycles, result-availability) for
+// the immediate variant — the summary a scheduling engineer compares with
+// the processor manual's latency tables.
+func (m *Model) LatencyTable() map[string][2]int {
+	out := make(map[string][2]int)
+	for op := sparc.Op(1); op < sparc.NumOps; op++ {
+		g, err := m.GroupFor(op, true)
+		if err != nil {
+			continue
+		}
+		avail := g.Cycles
+		for _, w := range g.Writes {
+			if w.Field == "rd" {
+				avail = w.Cycle
+			}
+		}
+		out[op.Name()] = [2]int{g.Cycles, avail}
+	}
+	return out
+}
+
+// SortedOpNames returns the op names of a latency table in stable order.
+func SortedOpNames(t map[string][2]int) []string {
+	names := make([]string, 0, len(t))
+	for n := range t {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }

@@ -5,7 +5,7 @@ import (
 	"fmt"
 
 	"eel/internal/core"
-	"eel/internal/sim"
+	"eel/internal/pipe"
 	"eel/internal/sparc"
 	"eel/internal/spawn"
 )
@@ -14,10 +14,11 @@ import (
 // instruction scheduler: where EEL runs one greedy list-scheduling pass
 // against its SADL model, the compiler tries several schedules — both
 // priority functions of the greedy scheduler plus the original order —
-// evaluates each against the *hardware* model (grouping rules included),
-// and keeps the fastest. EEL's later rescheduling pass, blind to the
-// hardware rules and armed with a single heuristic, partially undoes this
-// work: the paper's Table 1 de-scheduling effect.
+// evaluates each against the *hardware* engine (pipe.NewHardwareState,
+// grouping rules included), and keeps the fastest. The candidates
+// schedule against that engine too. EEL's later rescheduling pass, blind
+// to the hardware rules and armed with a single heuristic, partially
+// undoes this work: the paper's Table 1 de-scheduling effect.
 //
 // Each candidate schedules a whole batch at a time; the pricer then picks
 // the winner block by block.
@@ -25,19 +26,16 @@ type compilerScheduler struct {
 	candidates []*core.Scheduler
 	// pricer measures every priced block, Reset in between; one
 	// compilerScheduler serves one Generate call, so it is never shared.
-	pricer *sim.HWPipeline
+	pricer *pipe.FastState
 }
 
-func newCompilerScheduler(model *spawn.Model, rules sim.Rules) *compilerScheduler {
-	mk := func(opts core.Options) *core.Scheduler {
-		return core.NewWith(sim.NewHWPipeline(model, rules), model, opts)
-	}
+func newCompilerScheduler(model *spawn.Model, rules pipe.Rules) *compilerScheduler {
 	return &compilerScheduler{
 		candidates: []*core.Scheduler{
-			mk(core.Options{}),
-			mk(core.Options{ChainFirst: true}),
+			core.NewHardware(model, rules, core.Options{Workers: -1}),
+			core.NewHardware(model, rules, core.Options{ChainFirst: true, Workers: -1}),
 		},
-		pricer: sim.NewHWPipeline(model, rules),
+		pricer: pipe.NewHardwareState(model, rules),
 	}
 }
 
@@ -45,8 +43,7 @@ func newCompilerScheduler(model *spawn.Model, rules sim.Rules) *compilerSchedule
 // batch in one ScheduleBlocks call, which sizes the candidate's output
 // arena for the batch, and then keeps, per block, the candidate with the
 // fewest measured cycles on the hardware model; the original order
-// competes too. Each candidate drives a single hardware oracle, so the
-// batch runs sequentially; ctx is unused.
+// competes too. The candidates run sequentially; ctx is unused.
 func (c *compilerScheduler) ScheduleBlocksCtx(_ context.Context, blocks [][]sparc.Inst) ([][]sparc.Inst, error) {
 	scheduled := make([][][]sparc.Inst, len(c.candidates))
 	for k, sched := range c.candidates {
@@ -79,7 +76,7 @@ func (c *compilerScheduler) ScheduleBlocksCtx(_ context.Context, blocks [][]spar
 	return out, nil
 }
 
-// cost measures a block on a freshly reset hardware pipeline: the issue
+// cost measures a block on a freshly reset hardware engine: the issue
 // cycle of the last instruction.
 func (c *compilerScheduler) cost(block []sparc.Inst) (int64, error) {
 	c.pricer.Reset()

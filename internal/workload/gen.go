@@ -167,7 +167,7 @@ func generateOnce(b Benchmark, cfg Config, m float64) (*exe.Exe, error) {
 	return ed.Edit(nil, eel.Options{
 		Machine:   model,
 		Schedule:  true,
-		Scheduler: newCompilerScheduler(model, sim.MachineRules(cfg.Machine)),
+		Scheduler: newCompilerScheduler(model, sim.MachineRules(cfg.Machine).Rules),
 	})
 }
 

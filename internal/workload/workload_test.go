@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"eel/internal/pipe"
 	"eel/internal/sim"
 	"eel/internal/sparc"
 	"eel/internal/spawn"
@@ -220,7 +221,7 @@ func TestPricerResetMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, m := range spawn.Machines() {
 		model := spawn.MustLoad(m)
-		rules := sim.MachineRules(m)
+		rules := sim.MachineRules(m).Rules
 		c := newCompilerScheduler(model, rules)
 		for i := 0; i < 500; i++ {
 			block := RandomBlock(rng, 1+rng.Intn(24), rng.Intn(3) == 0)
@@ -231,7 +232,7 @@ func TestPricerResetMatchesFresh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh := sim.NewHWPipeline(model, rules)
+			fresh := pipe.NewHardwareState(model, rules)
 			var want int64
 			for _, inst := range block {
 				if _, want, err = fresh.Issue(inst); err != nil {
